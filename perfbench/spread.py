@@ -5,9 +5,11 @@ For every end-to-end metric (or per-layer metric with --trace 1) this
 prints the median of the runs and the distance between the first and
 third quartile as a share of the median -- the statistic the benchmark's
 bounds are set against -- and flags a spread above a third of the
-metric's bound. Run from the repository root:
+metric's bound. Each run's line shows the share of CPU time the
+hypervisor stole during it, from the result's host block. Run from the
+repository root:
 
-    python3 perfbench/spread.py --workload loud-rounds --seeds 1-10
+    python3 perfbench/spread.py --workload quiet-pipelined --seeds 1-10
 """
 
 import argparse
@@ -48,9 +50,11 @@ def main():
         wall = time.monotonic() - started
         if out.returncode != 0:
             sys.exit(f"seed {seed}: exit {out.returncode}\n{out.stderr}")
-        result = json.loads(out.stdout.strip().splitlines()[-1])
+        lines = out.stdout.strip().splitlines()
+        result = json.loads(lines[-1])
+        steal = json.loads(lines[-2])["host"]["steal_frac"]
         short = " ".join(f"{k}={m['value']:.4g}" for k, m in result["metrics"].items())
-        print(f"seed {seed}: {wall:.1f} s wall, attempted {result['attempted']}, "
+        print(f"seed {seed}: {wall:.1f} s wall, steal {steal}, attempted {result['attempted']}, "
               f"failed {result['failed']}: {short}", file=sys.stderr)
         for name, m in result["metrics"].items():
             values.setdefault(name, []).append(m["value"])

@@ -1,4 +1,4 @@
-//! The repository benchmark: four closed-loop workloads driven from one
+//! The repository benchmark: three closed-loop workloads driven from one
 //! bench thread against the public APIs of `dsv-core` and `dsv-engine`.
 //!
 //! Each run generates its inputs from the seed before timing starts,
@@ -24,8 +24,6 @@ pub enum Workload {
     /// Nearly-monotone stream through pipelined ingestion with delta
     /// checkpoints between segments.
     Quiet,
-    /// Fair ±1 walk, one timed `run_parted` call per round.
-    Loud,
     /// Keyed fleet: cold admission, then Zipf-skewed bursts with `top_k`
     /// reads.
     Fleet,
@@ -36,18 +34,12 @@ pub enum Workload {
 
 impl Workload {
     /// Every workload, in catalogue order.
-    pub const ALL: [Workload; 4] = [
-        Workload::Quiet,
-        Workload::Loud,
-        Workload::Fleet,
-        Workload::Remote,
-    ];
+    pub const ALL: [Workload; 3] = [Workload::Quiet, Workload::Fleet, Workload::Remote];
 
     /// The workload's command-line name.
     pub fn name(self) -> &'static str {
         match self {
             Workload::Quiet => "quiet-pipelined",
-            Workload::Loud => "loud-rounds",
             Workload::Fleet => "fleet-zipf",
             Workload::Remote => "remote-tcp",
         }
@@ -112,7 +104,6 @@ pub(crate) struct Measured {
 pub fn run(workload: Workload, params: &Params, trace: bool) -> Result<Report, String> {
     let measured = match workload {
         Workload::Quiet => workloads::quiet::run(params, trace),
-        Workload::Loud => workloads::loud::run(params, trace),
         Workload::Fleet => workloads::fleet::run(params, trace),
         Workload::Remote => workloads::remote::run(params, trace),
     }?;

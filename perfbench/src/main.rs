@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload loud-rounds --seed 1 --seconds 10 --trace 0
+//!     --workload quiet-pipelined --seed 1 --seconds 10 --trace 0
 //! ```
 //!
 //! The last line of standard output is the result object (`correct`,
@@ -17,8 +17,7 @@ use dsv_perfbench::{host, metrics, run, trace, Params, Scale, Workload};
 use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: perfbench --workload <quiet-pipelined|loud-rounds|fleet-zipf|remote-tcp> \
+const USAGE: &str = "usage: perfbench --workload <quiet-pipelined|fleet-zipf|remote-tcp> \
 --seed <n> --seconds <n> --trace <0|1>  |  perfbench --catalogue";
 
 struct Args {
@@ -85,7 +84,12 @@ fn main() -> ExitCode {
         seconds: args.seconds as f64,
         scale: Scale::Full,
     };
-    let report = match run(args.workload, &params, args.trace) {
+    let cpus = host::cpus();
+    let pinned = host::pin_to_one_cpu();
+    let ticks = host::cpu_ticks();
+    let result = run(args.workload, &params, args.trace);
+    let steal = host::steal_frac(ticks, host::cpu_ticks());
+    let report = match result {
         Ok(r) => r,
         Err(e) => {
             eprintln!("perfbench: {}: {e}", args.workload.name());
@@ -121,7 +125,14 @@ fn main() -> ExitCode {
     println!("{{\"details\": {{{details}}}}}");
     println!(
         "{}",
-        host::block(args.workload.name(), args.seed, args.seconds, args.trace)
+        host::block(
+            args.workload.name(),
+            args.seed,
+            args.seconds,
+            args.trace,
+            (cpus, pinned),
+            steal
+        )
     );
     println!(
         "{}",

@@ -2,7 +2,7 @@
 //! unit, the layer it belongs to, and the end-to-end metric and
 //! workloads a change to that layer should move — and the result line.
 
-use crate::Workload::{self, Fleet, Loud, Quiet, Remote};
+use crate::Workload::{self, Fleet, Quiet, Remote};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -34,9 +34,8 @@ pub struct MetricDef {
     pub moves: &'static str,
 }
 
-const ALL: &[Workload] = &[Quiet, Loud, Fleet, Remote];
-const COUNTERS: &[Workload] = &[Quiet, Loud, Remote];
-const ENGINES: &[Workload] = &[Quiet, Loud];
+const ALL: &[Workload] = &[Quiet, Fleet, Remote];
+const COUNTERS: &[Workload] = &[Quiet, Remote];
 
 const fn m(
     name: &'static str,
@@ -67,31 +66,15 @@ pub const END_TO_END: &[MetricDef] = &[
         Lower,
         "-",
         ALL,
-        "median of several constructions: engine or fleet constructor, remote spawn + handshake",
+        "median of many constructions timed outside the timed loop, before the input is generated and after the pass: engine or fleet constructor, remote spawn + handshake",
     ),
     m(
-        "throughput_upd_s",
-        "1/s",
-        Higher,
-        "-",
-        ALL,
-        "updates per second over the timed region (fleet: steady phase)",
-    ),
-    m(
-        "round_p50_us",
-        "us",
+        "cpu_ns_per_upd",
+        "ns",
         Lower,
         "-",
         ALL,
-        "median latency of one boundary round: how stale the estimate can get",
-    ),
-    m(
-        "round_p90_us",
-        "us",
-        Lower,
-        "-",
-        ALL,
-        "median over 1000-round windows of each window's p90 (100 samples beyond it)",
+        "process CPU time (user + system, every thread) per update, lower quartile over >= 1 s windows of the timed region (fleet: steady phase); time the hypervisor steals is not charged",
     ),
     m(
         "messages_per_kupd",
@@ -115,12 +98,36 @@ pub const END_TO_END: &[MetricDef] = &[
 /// 0 for that layer's metrics.
 pub const PER_LAYER: &[MetricDef] = &[
     m(
-        "latency.round_p99_us",
+        "wall.throughput_upd_s",
+        "1/s",
+        Higher,
+        "-",
+        ALL,
+        "context: updates per second, upper quartile of >= 1 s windows, from the untraced half; follows the CPU the hypervisor steals",
+    ),
+    m(
+        "wall.round_p50_us",
         "us",
         Lower,
         "-",
         ALL,
-        "context: median over 1000-round windows of each window's p99, from the untraced half",
+        "context: lower quartile over 1000-round windows of each window's median round, from the untraced half: how stale the estimate can get",
+    ),
+    m(
+        "wall.round_p90_us",
+        "us",
+        Lower,
+        "-",
+        ALL,
+        "context: the same window rule on each window's p90 (100 samples beyond it)",
+    ),
+    m(
+        "wall.round_p99_us",
+        "us",
+        Lower,
+        "-",
+        ALL,
+        "context: the same window rule on each window's p99 (10 samples beyond it)",
     ),
     m(
         "core.absorb.ns_per_upd",
@@ -128,7 +135,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-core::api",
         COUNTERS,
-        "throughput_upd_s on quiet-pipelined and loud-rounds",
+        "cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "core.driver.ns_per_upd",
@@ -152,7 +159,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-core::variability",
         COUNTERS,
-        "messages_per_kupd on quiet-pipelined, loud-rounds, remote-tcp",
+        "messages_per_kupd on quiet-pipelined and remote-tcp",
     ),
     m(
         "core.tracker.msgs_per_kupd",
@@ -160,23 +167,23 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-core::api",
         COUNTERS,
-        "messages_per_kupd on loud-rounds",
+        "messages_per_kupd on remote-tcp (quiet-pipelined sends almost none)",
     ),
     m(
         "engine.consolidate.ns_per_upd",
         "ns",
         Lower,
         "dsv-engine::consolidate",
-        ENGINES,
-        "throughput_upd_s on quiet-pipelined (loud-rounds is incompressible)",
+        &[Quiet],
+        "cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "engine.consolidate.segs_per_upd",
         "seg/upd",
         Lower,
         "dsv-engine::consolidate",
-        ENGINES,
-        "throughput_upd_s on quiet-pipelined (useful output: segments per input)",
+        &[Quiet],
+        "cpu_ns_per_upd on quiet-pipelined (useful output: segments per input)",
     ),
     m(
         "engine.round.overhead_us",
@@ -184,7 +191,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::sharded",
         COUNTERS,
-        "round_p50_us and round_p90_us on loud-rounds (quiet-pipelined amortizes it)",
+        "wall.round_p50_us and cpu_ns_per_upd on quiet-pipelined and remote-tcp",
     ),
     m(
         "engine.merge.msgs_per_kupd",
@@ -192,7 +199,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::sharded",
         COUNTERS,
-        "messages_per_kupd on loud-rounds",
+        "messages_per_kupd on remote-tcp (quiet-pipelined sends almost none)",
     ),
     m(
         "engine.audit.violations",
@@ -200,7 +207,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::sharded",
         ALL,
-        "failed count; eps headroom on loud-rounds",
+        "failed count",
     ),
     m(
         "engine.audit.max_rel_err",
@@ -208,7 +215,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::sharded",
         ALL,
-        "max boundary |f-fhat|/max(|f|,1); eps headroom on loud-rounds",
+        "max boundary |f-fhat|/max(|f|,1)",
     ),
     m(
         "engine.audit.eps_headroom",
@@ -224,7 +231,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::ingest",
         &[Quiet],
-        "throughput_upd_s on quiet-pipelined (loud-rounds bypasses ingest)",
+        "cpu_ns_per_upd on quiet-pipelined (remote-tcp bypasses ingest)",
     ),
     m(
         "engine.ingest.push_stalls_per_kframe",
@@ -232,7 +239,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::ingest",
         &[Quiet],
-        "throughput_upd_s on quiet-pipelined",
+        "cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "engine.ingest.pop_waits_per_kround",
@@ -240,7 +247,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::ingest",
         &[Quiet],
-        "throughput_upd_s on quiet-pipelined",
+        "cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "engine.ingest.mean_occupancy",
@@ -248,7 +255,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::ingest",
         &[Quiet],
-        "throughput_upd_s on quiet-pipelined",
+        "cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "engine.ingest.high_water",
@@ -256,7 +263,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::ingest",
         &[Quiet],
-        "throughput_upd_s on quiet-pipelined",
+        "cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "engine.checkpoint.capture_ms",
@@ -264,7 +271,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::checkpoint",
         COUNTERS,
-        "throughput_upd_s on quiet-pipelined",
+        "cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "engine.checkpoint.encode_ms",
@@ -272,7 +279,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::checkpoint",
         COUNTERS,
-        "throughput_upd_s on quiet-pipelined; checkpoint bytes",
+        "cpu_ns_per_upd on quiet-pipelined; checkpoint bytes",
     ),
     m(
         "engine.delta.bytes_per_boundary",
@@ -280,7 +287,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::delta",
         &[Quiet],
-        "checkpoint bytes per boundary and throughput_upd_s on quiet-pipelined",
+        "checkpoint bytes per boundary and cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "engine.delta.identity_frac",
@@ -288,7 +295,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Higher,
         "dsv-engine::delta",
         &[Quiet],
-        "checkpoint bytes per boundary and throughput_upd_s on quiet-pipelined",
+        "checkpoint bytes per boundary and cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "engine.delta.shrink",
@@ -296,7 +303,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Higher,
         "dsv-engine::delta",
         &[Quiet],
-        "checkpoint bytes per boundary and throughput_upd_s on quiet-pipelined",
+        "checkpoint bytes per boundary and cpu_ns_per_upd on quiet-pipelined",
     ),
     m(
         "engine.delta.materialize_ms",
@@ -328,7 +335,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::fleet",
         &[Fleet],
-        "throughput_upd_s on fleet-zipf",
+        "cpu_ns_per_upd on fleet-zipf",
     ),
     m(
         "engine.fleet.flush_ms",
@@ -336,7 +343,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::fleet",
         &[Fleet],
-        "round_p50_us and throughput_upd_s on fleet-zipf",
+        "wall.round_p50_us and cpu_ns_per_upd on fleet-zipf",
     ),
     m(
         "engine.fleet.topk_us",
@@ -344,7 +351,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::fleet",
         &[Fleet],
-        "read latency (top_k p50) and throughput_upd_s on fleet-zipf",
+        "read latency (top_k p50) and cpu_ns_per_upd on fleet-zipf",
     ),
     m(
         "engine.fleet.checkpoint_ms",
@@ -416,7 +423,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::remote",
         &[Remote],
-        "throughput_upd_s and round_p50_us on remote-tcp",
+        "wall.round_p50_us and wall.throughput_upd_s on remote-tcp",
     ),
     m(
         "engine.remote.ckpt_pull_ms",
@@ -424,7 +431,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::remote",
         &[Remote],
-        "throughput_upd_s on remote-tcp",
+        "wall.throughput_upd_s on remote-tcp",
     ),
     m(
         "engine.remote.ckpt_bytes_per_commit",
@@ -432,7 +439,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::remote",
         &[Remote],
-        "throughput_upd_s on remote-tcp: checkpoint-pull bytes per commit",
+        "cpu_ns_per_upd on remote-tcp: checkpoint-pull bytes per commit",
     ),
     m(
         "engine.remote.replayed_rounds",
@@ -448,7 +455,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-engine::remote",
         &[Remote],
-        "throughput_upd_s on remote-tcp (faulted segment minus median clean segment)",
+        "wall.throughput_upd_s on remote-tcp (faulted segment minus median clean segment)",
     ),
     m(
         "net.wire.frames_per_round",
@@ -456,7 +463,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-net::transport",
         &[Remote],
-        "throughput_upd_s and round_p50_us on remote-tcp",
+        "cpu_ns_per_upd and wall.round_p50_us on remote-tcp",
     ),
     m(
         "net.wire.bytes_per_upd",
@@ -464,7 +471,7 @@ pub const PER_LAYER: &[MetricDef] = &[
         Lower,
         "dsv-net::transport",
         &[Remote],
-        "throughput_upd_s on remote-tcp",
+        "cpu_ns_per_upd on remote-tcp",
     ),
     m(
         "trace.overhead_frac",
@@ -676,9 +683,9 @@ mod tests {
         for d in END_TO_END {
             v.set(d.name, 2.5);
         }
-        assert!(complete(Loud, false, &v).is_ok());
-        v.set("round_p90_us", 0.0);
-        assert!(complete(Loud, false, &v).is_err());
+        assert!(complete(Quiet, false, &v).is_ok());
+        v.set("cpu_ns_per_upd", 0.0);
+        assert!(complete(Quiet, false, &v).is_err());
     }
 
     #[test]

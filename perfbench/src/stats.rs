@@ -1,5 +1,5 @@
-//! The benchmark's own arithmetic: medians, the tail-percentile rule, and
-//! the failure share.
+//! The benchmark's own arithmetic: medians and quantiles, the
+//! tail-percentile rule, and the failure share.
 
 /// Median of `xs` (mean of the two middle values for an even count).
 /// Panics on an empty sample — every caller measures at least once.
@@ -13,6 +13,17 @@ pub fn median(xs: &[f64]) -> f64 {
     } else {
         (v[n / 2 - 1] + v[n / 2]) / 2.0
     }
+}
+
+/// The `q`-quantile of `xs`, `0 ≤ q ≤ 1`, interpolated linearly between
+/// the two nearest ranks (`q = 0.5` is the [`median`]).
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    assert!(!xs.is_empty(), "quantile of an empty sample");
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
 }
 
 /// A tail latency read off a sample by [`tail`].
@@ -89,6 +100,18 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&[7.0]), 7.0);
+    }
+
+    #[test]
+    fn quantile_interpolates_between_ranks() {
+        assert_eq!(quantile(&ramp(5), 0.25), 2.0);
+        assert_eq!(quantile(&ramp(4), 0.75), 3.25);
+        assert_eq!(quantile(&ramp(4), 0.0), 1.0);
+        assert_eq!(quantile(&ramp(4), 1.0), 4.0);
+        assert_eq!(quantile(&[9.0], 0.25), 9.0);
+        for n in [1, 2, 7, 10] {
+            assert_eq!(quantile(&ramp(n), 0.5), median(&ramp(n)), "n = {n}");
+        }
     }
 
     #[test]

@@ -63,6 +63,11 @@ impl Tracer {
         }
     }
 
+    /// Whether spans are being kept.
+    pub fn enabled(&self) -> bool {
+        self.enabled
+    }
+
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }

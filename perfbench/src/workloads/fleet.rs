@@ -6,12 +6,12 @@
 //! evict/restore, per-key audits and the `DSVF` codec, with reads beside
 //! writes. Cold admission is timed apart from the steady phase.
 
-use super::{check, ctx, Clock, Counts, Setup, EPS, SETUP_EVERY, SETUP_REPS, SHARDS, WORKERS};
+use super::{check, ctx, Clock, Counts, Setup, EPS, SETUP_REPS, SETUP_SECONDS, SHARDS, WORKERS};
 use crate::metrics::Values;
 use crate::trace::{self, Tracer};
 use crate::{stats, Measured, Params, Scale};
 use dsv_core::api::{Tracker, TrackerKind, TrackerSpec};
-use dsv_engine::{CounterFleet, EngineConfig, FleetCheckpoint};
+use dsv_engine::{CounterFleet, EngineConfig, FleetCheckpoint, FleetMemory};
 use dsv_gen::ZipfSampler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -86,6 +86,8 @@ struct Pass {
     steady: u64,
     /// Steady-phase messages and inputs at the measure point.
     counts: Counts,
+    /// Memory accounting at the measure point.
+    memory: FleetMemory,
     topk_ns: Vec<f64>,
     checkpoint_ms: f64,
     delta_ms: f64,
@@ -98,7 +100,6 @@ fn pass(
     sz: &Size,
     p: &Params,
     trace: bool,
-    setup: &mut dyn FnMut() -> Result<(), String>,
     tr: &mut Tracer,
 ) -> Result<Pass, String> {
     let open = tr.enter("engine.fleet.cold");
@@ -113,6 +114,7 @@ fn pass(
     let msgs_before = fleet.comm_stats().total_messages();
     let batch = sz.batch as u64;
     let (mut topk_ns, mut counts) = (Vec::new(), Counts::default());
+    let mut memory = FleetMemory::default();
     let mut i = 0u64;
     let mut clock = Clock::start(p.seconds, trace, sz.measure_boundaries);
     let mut batch_start = Instant::now();
@@ -137,8 +139,8 @@ fn pass(
             if clock.call(batch) {
                 let msgs = fleet.comm_stats().total_messages() - msgs_before;
                 counts = Counts::read(msgs, i);
+                memory = fleet.memory();
             }
-            setup()?;
             if clock.done() {
                 break;
             }
@@ -174,6 +176,7 @@ fn pass(
         clock,
         steady: i,
         counts,
+        memory,
         topk_ns,
         checkpoint_ms,
         delta_ms,
@@ -223,21 +226,14 @@ pub(crate) fn run(p: &Params, trace: bool) -> Result<Measured, String> {
         .eps(EPS);
     let build = || CounterFleet::counters(spec, cfg);
 
-    // The first construction is timed before the input is generated.
-    let mut setup = Setup::new(build, SETUP_REPS, Some(SETUP_EVERY));
-    let fleet = setup.sample()?;
+    // The first burst of constructions is timed before the input is
+    // generated.
+    let mut setup = Setup::new(build, SETUP_REPS, 1, SETUP_SECONDS);
+    let fleet = setup.burst()?;
     let inputs = Inputs::new(p.seed, &sz);
 
     let mut out = Measured::default();
-    let a = pass(
-        fleet,
-        &inputs,
-        &sz,
-        p,
-        trace,
-        &mut || setup.tick(),
-        &mut Tracer::off(),
-    )?;
+    let a = pass(fleet, &inputs, &sz, p, trace, &mut Tracer::off())?;
     let spots = check_twins(spec, &inputs, &a, &sz)?;
     out.details.push(("keys", sz.keys.to_string()));
     out.details
@@ -245,6 +241,7 @@ pub(crate) fn run(p: &Params, trace: bool) -> Result<Measured, String> {
 
     if !trace {
         let v = &mut out.values;
+        setup.burst()?;
         v.set("setup_s", setup.median_s());
         a.clock.report(v, &mut out.details);
         a.counts.report(v);
@@ -253,11 +250,11 @@ pub(crate) fn run(p: &Params, trace: bool) -> Result<Measured, String> {
     }
 
     let untraced = a.clock.throughput();
-    a.clock.report_p99(&mut out.values);
+    a.clock.report_wall(&mut out.values, &mut out.details);
     drop(a);
     let mut tr = Tracer::on();
-    let fleet = setup.sample()?;
-    let b = pass(fleet, &inputs, &sz, p, trace, &mut || setup.tick(), &mut tr)?;
+    let fleet = setup.burst()?;
+    let b = pass(fleet, &inputs, &sz, p, trace, &mut tr)?;
     let spots = check_twins(spec, &inputs, &b, &sz)?;
     let v = &mut out.values;
     report_layers(v, &b, &sz, &tr);
@@ -300,7 +297,7 @@ fn report_layers(v: &mut Values, b: &Pass, sz: &Size, tr: &Tracer) {
         "engine.fleet.msgs_per_kupd",
         b.counts.messages as f64 * 1e3 / b.counts.updates as f64,
     );
-    let mem = b.fleet.memory();
+    let mem = &b.memory;
     v.set("engine.fleet.arena_bytes", mem.arena_bytes as f64);
     v.set("engine.fleet.slot_bytes", mem.slot_bytes as f64);
     v.set("engine.fleet.index_bytes", mem.index_bytes as f64);

@@ -1,9 +1,8 @@
 //! Workload drivers, and the pieces they share: the pass clock and its
-//! windowed timings, setup sampling, the replayed input block, the
+//! windowed timings, setup timing, the replayed input block, the
 //! boundary audit, and the standalone per-layer probes of a traced run.
 
 pub(crate) mod fleet;
-pub(crate) mod loud;
 pub(crate) mod quiet;
 pub(crate) mod remote;
 
@@ -12,7 +11,9 @@ use crate::stats::{self, floored_rel_err};
 use crate::trace::Tracer;
 use dsv_core::api::{Driver, Tracker, TrackerKind, TrackerSpec};
 use dsv_core::Variability;
-use dsv_engine::{CheckpointStore, Consolidator, CounterEngine, EngineCheckpoint, EngineReport};
+use dsv_engine::{
+    CheckpointStore, Consolidator, CounterEngine, DeltaStats, EngineCheckpoint, EngineReport,
+};
 use dsv_net::Update;
 use std::fmt::Display;
 use std::hint::black_box;
@@ -22,8 +23,9 @@ use std::time::{Duration, Instant};
 pub(crate) const EPS: f64 = 0.1;
 /// Logical shards of every engine.
 pub(crate) const SHARDS: usize = 2;
-/// Worker threads of every engine: with the coordinator as a third
-/// thread, sized for a two-CPU host.
+/// Worker threads of every engine. The whole run is pinned to one CPU
+/// ([`crate::host::pin_to_one_cpu`]), so the workers and the coordinator
+/// share it.
 pub(crate) const WORKERS: usize = 2;
 
 /// Prefix an error from the system under test with its context.
@@ -52,32 +54,40 @@ pub(crate) fn counter_spec(k: usize, seed: u64) -> TrackerSpec {
 
 /// Constructions per setup sample for in-process constructors.
 pub(crate) const SETUP_REPS: usize = 16;
-/// Period of in-process setup samples through a run.
-pub(crate) const SETUP_EVERY: Duration = Duration::from_millis(20);
+/// Seconds of setup samples for in-process constructors: long enough
+/// that their median does not hinge on one moment of outside load.
+pub(crate) const SETUP_SECONDS: f64 = 0.5;
 
-/// Shortest window the throughput median is taken over, in seconds.
+/// Shortest window a throughput rate is taken over, in seconds.
 const WINDOW_S: f64 = 1.0;
-/// Latency windows of the tail medians, as (percentile cap, samples). A
-/// p99 window leaves exactly [`stats::TAIL_BEYOND`] samples beyond its
-/// cap; a p90 window of the same size leaves 100, which keeps the
-/// end-to-end tail from hinging on a handful of rounds.
-const P90_WINDOW: (f64, usize) = (0.90, 1000);
-const P99_WINDOW: (f64, usize) = (0.99, 1000);
+/// Rounds per latency window: a window's p99 leaves exactly
+/// [`stats::TAIL_BEYOND`] samples beyond it, its p90 leaves 100.
+const ROUND_WINDOW: usize = 1000;
+/// The quartile of the window figures a wall-clock figure reports, on
+/// its better side.
+const BETTER_QUARTILE: f64 = 0.25;
 
 /// The clock of one timed pass: it runs until the pass's seconds are up
 /// *and* the workload has made its measure-point call count, recording
-/// each call's end time, input count and per-round latency samples.
+/// each call's end time, input count, process CPU time and per-round
+/// latency samples.
 ///
-/// The timing metrics are medians over windows, so a burst of outside
-/// load during part of a run moves them less: throughput is the median
-/// of per-window rates over windows of at least [`WINDOW_S`], the round
-/// p50 is the median of every sample, and a round tail is the median,
-/// over consecutive windows, of each window's tail by [`stats::tail`]
-/// (one window when the sample is under two windows). The p90 of
-/// 1000-round windows is the end-to-end tail: on a two-CPU host a few
-/// percent of rounds meet a scheduling stall, which puts any p99 on the
-/// edge of that mode and makes it swing from run to run. The p99 of
-/// 1000-round windows is reported beside the per-layer metrics.
+/// The end-to-end cost is that CPU time per update: the host is a shared
+/// VM, and the kernel charges no thread for time the hypervisor steals,
+/// while every wall-clock figure follows the steal. It is read per
+/// consecutive window of at least [`WINDOW_S`] and reported at the better
+/// quartile across the windows — the lower quartile, so that neither a
+/// stretch of outside cache and memory traffic nor the one faulted
+/// segment of a remote pass sets it. The wall-clock figures are per-layer
+/// context under the same rule: throughput is the upper quartile of the
+/// windows' rates, and a round-latency figure (p50, p90, p99) is the
+/// lower quartile, over consecutive [`ROUND_WINDOW`]-round windows, of
+/// each window's figure by [`stats::tail`] (one window when the sample
+/// holds fewer than two).
+/// Outside load only ever slows a window or adds to its CPU time, so the
+/// better quartile reads what the program does when the host lets it
+/// run, while a quarter of the windows must still be as good — one lucky
+/// window cannot set the figure.
 pub(crate) struct Clock {
     started: Instant,
     deadline: Instant,
@@ -85,6 +95,9 @@ pub(crate) struct Clock {
     ends_s: Vec<f64>,
     updates: Vec<u64>,
     round_ns: Vec<f64>,
+    /// Process CPU seconds at the pass's start and at each call's end.
+    cpu_start_s: Option<f64>,
+    cpu_ends_s: Vec<Option<f64>>,
 }
 
 impl Clock {
@@ -92,6 +105,7 @@ impl Clock {
     /// that makes at least `measure_at` calls.
     pub fn start(seconds: f64, trace: bool, measure_at: usize) -> Clock {
         let secs = if trace { seconds / 2.0 } else { seconds };
+        let cpu_start_s = crate::host::process_cpu_s();
         let started = Instant::now();
         Clock {
             started,
@@ -100,12 +114,15 @@ impl Clock {
             ends_s: Vec::new(),
             updates: Vec::new(),
             round_ns: Vec::new(),
+            cpu_start_s,
+            cpu_ends_s: Vec::new(),
         }
     }
 
     /// Record a finished call of `updates` inputs. True exactly when this
     /// call is the measure point, where counts are read.
     pub fn call(&mut self, updates: u64) -> bool {
+        self.cpu_ends_s.push(crate::host::process_cpu_s());
         self.ends_s.push(self.started.elapsed().as_secs_f64());
         self.updates.push(updates);
         self.ends_s.len() == self.measure_at
@@ -136,58 +153,105 @@ impl Clock {
         self.updates.iter().sum()
     }
 
-    /// Median of the per-window rates (the whole pass when it is shorter
-    /// than two windows).
-    pub fn throughput(&self) -> f64 {
-        let mut rates = Vec::new();
-        let (mut from, mut n) = (0.0, 0u64);
-        for (&end, &u) in self.ends_s.iter().zip(&self.updates) {
-            n += u;
+    /// The call indices that close consecutive windows of at least
+    /// [`WINDOW_S`] wall seconds each.
+    fn window_ends(&self) -> Vec<usize> {
+        let mut ends = Vec::new();
+        let mut from = 0.0;
+        for (i, &end) in self.ends_s.iter().enumerate() {
             if end - from >= WINDOW_S {
-                rates.push(n as f64 / (end - from));
-                (from, n) = (end, 0);
+                ends.push(i);
+                from = end;
             }
         }
+        ends
+    }
+
+    /// `(wall seconds, CPU seconds, inputs)` of each window; the CPU
+    /// seconds are `None` where the CPU clock is unavailable.
+    fn windows(&self) -> Vec<(f64, Option<f64>, u64)> {
+        let mut out = Vec::new();
+        let (mut wall, mut cpu, mut first) = (0.0, self.cpu_start_s, 0);
+        for i in self.window_ends() {
+            let n = self.updates[first..=i].iter().sum();
+            let cpu_end = self.cpu_ends_s[i];
+            let cpu_s = cpu.zip(cpu_end).map(|(a, b)| b - a);
+            out.push((self.ends_s[i] - wall, cpu_s, n));
+            (wall, cpu, first) = (self.ends_s[i], cpu_end, i + 1);
+        }
+        out
+    }
+
+    /// Upper quartile of the per-window rates (the whole pass when it is
+    /// shorter than two windows).
+    pub fn throughput(&self) -> f64 {
+        let rates: Vec<f64> = self
+            .windows()
+            .iter()
+            .map(|&(wall, _, n)| n as f64 / wall)
+            .collect();
         if rates.len() < 2 {
             return self.total_updates() as f64 / self.secs();
         }
-        stats::median(&rates)
+        stats::quantile(&rates, 1.0 - BETTER_QUARTILE)
     }
 
-    /// Round latencies in microseconds.
-    fn round_us(&self) -> Vec<f64> {
-        self.round_ns.iter().map(|x| x / 1e3).collect()
+    /// Lower quartile over the windows of process CPU nanoseconds per
+    /// input (the whole pass when it is shorter than two windows). `None`
+    /// where the CPU clock is unavailable.
+    pub fn cpu_ns_per_upd(&self) -> Option<f64> {
+        let mut costs = self
+            .windows()
+            .iter()
+            .map(|&(_, cpu, n)| cpu.map(|c| c * 1e9 / n as f64))
+            .collect::<Option<Vec<f64>>>()?;
+        if costs.len() < 2 {
+            let cpu = self.cpu_ends_s.last().copied().flatten()? - self.cpu_start_s?;
+            costs = vec![cpu * 1e9 / self.total_updates() as f64];
+        }
+        Some(stats::quantile(&costs, BETTER_QUARTILE))
     }
 
-    /// Median over windows of each window's tail, and the percentile the
-    /// first window supports.
-    fn windowed_tail(us: &[f64], (cap, size): (f64, usize)) -> (f64, f64) {
-        let windows: Vec<stats::Tail> = if us.len() < 2 * size {
-            vec![stats::tail(us, cap)]
+    /// Lower quartile, over round windows, of each window's latency at
+    /// percentile `cap` (in microseconds), and the percentile the first
+    /// window supports.
+    fn round_us(&self, cap: f64) -> (f64, f64) {
+        let us: Vec<f64> = self.round_ns.iter().map(|x| x / 1e3).collect();
+        let windows: Vec<stats::Tail> = if us.len() < 2 * ROUND_WINDOW {
+            vec![stats::tail(&us, cap)]
         } else {
-            us.chunks_exact(size).map(|w| stats::tail(w, cap)).collect()
+            us.chunks_exact(ROUND_WINDOW)
+                .map(|w| stats::tail(w, cap))
+                .collect()
         };
         let values: Vec<f64> = windows.iter().map(|t| t.value).collect();
-        (stats::median(&values), windows[0].percentile)
+        (
+            stats::quantile(&values, BETTER_QUARTILE),
+            windows[0].percentile,
+        )
     }
 
-    /// Record the end-to-end throughput and round-latency metrics.
+    /// Record the end-to-end CPU cost, [`Clock::cpu_ns_per_upd`] (omitted
+    /// where the CPU time is unavailable, which fails the run).
     pub fn report(&self, v: &mut Values, details: &mut Vec<(&'static str, String)>) {
-        v.set("throughput_upd_s", self.throughput());
-        let us = self.round_us();
-        let (p90, pct) = Self::windowed_tail(&us, P90_WINDOW);
-        v.set("round_p50_us", stats::median(&us));
-        v.set("round_p90_us", p90);
-        details.push(("round_samples", us.len().to_string()));
-        details.push(("tail_percentile", format!("{pct:.4}")));
+        if let Some(cost) = self.cpu_ns_per_upd() {
+            v.set("cpu_ns_per_upd", cost);
+        }
+        details.push(("updates", self.total_updates().to_string()));
+        details.push(("cpu_windows", self.window_ends().len().to_string()));
     }
 
-    /// Record the untraced pass's round p99 beside the per-layer metrics.
-    pub fn report_p99(&self, v: &mut Values) {
-        v.set(
-            "latency.round_p99_us",
-            Self::windowed_tail(&self.round_us(), P99_WINDOW).0,
-        );
+    /// Record the untraced pass's wall-clock figures beside the per-layer
+    /// metrics, with the percentiles the round windows support.
+    pub fn report_wall(&self, v: &mut Values, details: &mut Vec<(&'static str, String)>) {
+        let (p90, p90_pct) = self.round_us(0.90);
+        let (p99, p99_pct) = self.round_us(0.99);
+        v.set("wall.throughput_upd_s", self.throughput());
+        v.set("wall.round_p50_us", self.round_us(0.50).0);
+        v.set("wall.round_p90_us", p90);
+        v.set("wall.round_p99_us", p99);
+        details.push(("round_samples", self.round_ns.len().to_string()));
+        details.push(("tail_percentiles", format!("{p90_pct:.4}/{p99_pct:.4}")));
     }
 }
 
@@ -229,56 +293,54 @@ pub(crate) fn ledgers(engine: &CounterEngine) -> (u64, u64) {
     )
 }
 
-/// Samples the system's constructors. Each sample times `reps`
-/// back-to-back constructions (so a sub-microsecond constructor still
-/// reads well above the clock's resolution) and tears them down outside
-/// the timing. With a period, [`tick`](Self::tick) takes a sample
-/// whenever the period has passed, spreading samples over the whole run
-/// so that `setup_s` — their median — does not hinge on one moment of
-/// outside load.
+/// Times the system's constructor outside the timed loop, in bursts:
+/// one before the input is generated and one after the timed pass, so
+/// that `setup_s` — the median over every sample — spans the run rather
+/// than one moment of outside load. A burst takes at least `samples`
+/// samples, and more until `seconds` have passed; each sample times
+/// `reps` back-to-back constructions (so a sub-microsecond constructor
+/// still reads well above the clock's resolution) and tears them down
+/// untimed.
 pub(crate) struct Setup<F> {
     make: F,
     reps: usize,
-    every: Option<Duration>,
-    due: Instant,
+    samples: usize,
+    seconds: f64,
     times: Vec<f64>,
 }
 
 impl<T, E: Display, F: FnMut() -> Result<T, E>> Setup<F> {
-    pub fn new(make: F, reps: usize, every: Option<Duration>) -> Self {
+    pub fn new(make: F, reps: usize, samples: usize, seconds: f64) -> Self {
         Setup {
             make,
             reps: reps.max(1),
-            every,
-            due: Instant::now(),
+            samples: samples.max(1),
+            seconds,
             times: Vec::new(),
         }
     }
 
-    /// Take one sample now and return the last instance it built.
-    pub fn sample(&mut self) -> Result<T, String> {
-        let mut made = Vec::with_capacity(self.reps);
-        let started = Instant::now();
-        for _ in 0..self.reps {
-            made.push((self.make)().map_err(|e| format!("setup: {e}"))?);
+    /// Take one burst of samples and return the last instance built.
+    pub fn burst(&mut self) -> Result<T, String> {
+        let until = Instant::now() + Duration::from_secs_f64(self.seconds);
+        let mut last = None;
+        for i in 0.. {
+            if i >= self.samples && Instant::now() >= until {
+                break;
+            }
+            let mut made = Vec::with_capacity(self.reps);
+            let started = Instant::now();
+            for _ in 0..self.reps {
+                made.push((self.make)().map_err(ctx("setup"))?);
+            }
+            self.times
+                .push(started.elapsed().as_secs_f64() / self.reps as f64);
+            last = made.pop();
         }
-        self.times
-            .push(started.elapsed().as_secs_f64() / self.reps as f64);
-        if let Some(every) = self.every {
-            self.due = Instant::now() + every;
-        }
-        Ok(made.pop().expect("at least one construction"))
+        Ok(last.expect("at least one construction"))
     }
 
-    /// Take a sample if the period has passed since the last one.
-    pub fn tick(&mut self) -> Result<(), String> {
-        if self.every.is_some() && Instant::now() >= self.due {
-            self.sample()?;
-        }
-        Ok(())
-    }
-
-    /// Median construction time, in seconds.
+    /// Median seconds per construction over every burst.
     pub fn median_s(&self) -> f64 {
         stats::median(&self.times)
     }
@@ -400,9 +462,10 @@ pub(crate) struct AbsorbProbe {
     pub total_ns: u64,
     /// Updates absorbed.
     pub updates: u64,
-    /// Per engine call: absorb time of the slowest worker group (worker
-    /// `w` owns shards `s ≡ w mod W`).
-    pub slowest_group_ns: Vec<u64>,
+    /// Per engine call: absorb time of every shard. The run is pinned to
+    /// one CPU, so the workers' absorbs run one after another and the call
+    /// cannot take less than their sum.
+    pub call_absorb_ns: Vec<u64>,
     /// The replicas' final estimates, in shard order.
     pub estimates: Vec<i64>,
 }
@@ -425,13 +488,13 @@ pub(crate) fn absorb_probe(
     let mut probe = AbsorbProbe {
         total_ns: 0,
         updates: 0,
-        slowest_group_ns: Vec::with_capacity(calls),
+        call_absorb_ns: Vec::with_capacity(calls),
         estimates: Vec::new(),
     };
     let root = tr.enter("probe.absorb");
     for c in 0..calls {
         let rounds = c * rounds_per_call..(c + 1) * rounds_per_call;
-        let mut group_ns = [0u64; WORKERS];
+        let mut call_ns = 0;
         // Replicas are independent, so each takes the call's rounds in
         // one stretch; its own input order is the engine's.
         for (s, replica) in replicas.iter_mut().enumerate() {
@@ -444,13 +507,11 @@ pub(crate) fn absorb_probe(
             }
             let ns = started.elapsed().as_nanos() as u64;
             tr.exit(open);
-            group_ns[s % WORKERS] += ns;
-            probe.total_ns += ns;
+            call_ns += ns;
         }
+        probe.total_ns += call_ns;
         probe.updates += (rounds.len() * block.updates_per_round()) as u64;
-        probe
-            .slowest_group_ns
-            .push(group_ns.into_iter().max().unwrap_or(0));
+        probe.call_absorb_ns.push(call_ns);
     }
     tr.exit(root);
     probe.estimates = replicas.iter().map(|r| r.estimate()).collect();
@@ -458,8 +519,8 @@ pub(crate) fn absorb_probe(
 }
 
 /// Record the absorb metrics and the per-round engine overhead: each
-/// call's wall time minus its slowest worker group's standalone absorb
-/// time, averaged per round.
+/// call's wall time minus the standalone absorb time of its rounds,
+/// averaged per round.
 pub(crate) fn report_absorb(
     v: &mut Values,
     probe: &AbsorbProbe,
@@ -470,20 +531,20 @@ pub(crate) fn report_absorb(
         "core.absorb.ns_per_upd",
         probe.total_ns as f64 / probe.updates as f64,
     );
-    report_overhead(v, &probe.slowest_group_ns, call_ns, rounds_per_call);
+    report_overhead(v, &probe.call_absorb_ns, call_ns, rounds_per_call);
 }
 
 /// Record `engine.round.overhead_us` from per-call wall times and the
-/// matching slowest-group absorb times.
+/// matching standalone absorb times.
 pub(crate) fn report_overhead(
     v: &mut Values,
-    slowest_group_ns: &[u64],
+    absorb_ns: &[u64],
     call_ns: &[u64],
     rounds_per_call: usize,
 ) {
     let overhead: f64 = call_ns
         .iter()
-        .zip(slowest_group_ns)
+        .zip(absorb_ns)
         .map(|(&call, &absorb)| call as f64 - absorb as f64)
         .sum();
     let rounds = (call_ns.len() * rounds_per_call).max(1);
@@ -557,42 +618,62 @@ pub(crate) fn variability(block: &Block, rounds: usize, messages: u64, v: &mut V
     );
 }
 
-/// Median time of `EngineCheckpoint::to_bytes` on `latest`.
-pub(crate) fn encode_probe(latest: &EngineCheckpoint, v: &mut Values, tr: &mut Tracer) {
+/// Median capture time of `ShardedEngine::checkpoint`, in milliseconds,
+/// and the image. Workloads call it at their measure point — a fixed
+/// amount of input in every run — so the state captured does not grow
+/// with how far the run got.
+pub(crate) fn capture_probe(
+    engine: &mut CounterEngine,
+    tr: &mut Tracer,
+) -> Result<(f64, EngineCheckpoint), String> {
+    let mut capture = Vec::new();
+    let mut image = None;
+    for _ in 0..3 {
+        let open = tr.enter("engine.checkpoint.capture");
+        let started = Instant::now();
+        let ckpt = engine.checkpoint().map_err(ctx("checkpoint"))?;
+        capture.push(started.elapsed().as_secs_f64() * 1e3);
+        tr.exit(open);
+        image = Some(ckpt);
+    }
+    Ok((stats::median(&capture), image.expect("three captures")))
+}
+
+/// Median time of `EngineCheckpoint::to_bytes` on `image`.
+pub(crate) fn encode_probe(image: &EngineCheckpoint, v: &mut Values, tr: &mut Tracer) {
     let mut encode = Vec::new();
     for _ in 0..5 {
         let open = tr.enter("engine.checkpoint.encode");
         let started = Instant::now();
-        black_box(latest.to_bytes());
+        black_box(image.to_bytes());
         encode.push(started.elapsed().as_secs_f64() * 1e3);
         tr.exit(open);
     }
     v.set("engine.checkpoint.encode_ms", stats::median(&encode));
 }
 
-/// Encode timing, delta-chain materialize timing and the store's byte
-/// accounting; checks that the store's latest boundary materializes to
-/// `latest`.
-pub(crate) fn checkpoint_probe(
-    latest: &EngineCheckpoint,
+/// Delta-chain materialize timing of the boundary `at` (the measure
+/// point's image), checked equal to it, and the store's byte accounting
+/// as it stood at that boundary.
+pub(crate) fn delta_probe(
+    at: &EngineCheckpoint,
     store: &CheckpointStore,
+    s: &DeltaStats,
     v: &mut Values,
     tr: &mut Tracer,
 ) -> Result<(), String> {
-    encode_probe(latest, v, tr);
     let mut materialize = Vec::new();
     for _ in 0..3 {
         let open = tr.enter("engine.delta.materialize");
         let started = Instant::now();
-        let image = store.materialize_latest().map_err(ctx("materialize"))?;
+        let image = store.materialize(at.time()).map_err(ctx("materialize"))?;
         materialize.push(started.elapsed().as_secs_f64() * 1e3);
         tr.exit(open);
-        check(&image == latest, || {
-            "materialized boundary != checkpoint".into()
+        check(&image == at, || {
+            "materialized measure-point boundary != its checkpoint".into()
         })?;
     }
     v.set("engine.delta.materialize_ms", stats::median(&materialize));
-    let s = store.stats();
     let delta_links = (s.boundaries - s.bases) * SHARDS as u64;
     v.set(
         "engine.delta.bytes_per_boundary",
@@ -608,4 +689,50 @@ pub(crate) fn checkpoint_probe(
     );
     v.set("engine.delta.shrink", s.shrink());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A finished pass: call `i` ends at
+    /// `ends_s[i]` with `updates[i]` inputs and the CPU clock at `cpu[i]`.
+    fn clock(ends_s: &[f64], updates: &[u64], cpu: &[f64]) -> Clock {
+        let mut c = Clock::start(0.0, false, 0);
+        c.ends_s = ends_s.to_vec();
+        c.updates = updates.to_vec();
+        c.cpu_start_s = Some(0.0);
+        c.cpu_ends_s = cpu.iter().map(|&x| Some(x)).collect();
+        c
+    }
+
+    #[test]
+    fn cpu_cost_is_the_better_quartile_of_the_windows() {
+        // Windows close at the calls ending at 1.0, 2.0 and 3.5 s; the
+        // call at 4.0 s opens a window that never closes and is left out.
+        let c = clock(
+            &[0.5, 1.0, 2.0, 2.5, 3.5, 4.0],
+            &[100, 100, 100, 100, 200, 100],
+            &[1e-6, 2e-6, 3e-6, 4e-6, 1e-3, 1.1e-3],
+        );
+        assert_eq!(c.window_ends(), vec![1, 2, 4]);
+        // 10 ns/upd, 10 ns/upd, then an outlier window at ~3300 ns/upd.
+        let cost = c.cpu_ns_per_upd().unwrap();
+        assert!((cost - 10.0).abs() < 1e-6, "{cost}");
+    }
+
+    #[test]
+    fn cpu_cost_of_a_short_pass_is_the_whole_pass() {
+        let c = clock(&[0.4, 0.8, 1.2], &[100, 100, 200], &[1e-6, 2e-6, 8e-6]);
+        assert_eq!(c.window_ends(), vec![2]);
+        let cost = c.cpu_ns_per_upd().unwrap();
+        assert!((cost - 20.0).abs() < 1e-6, "{cost}");
+    }
+
+    #[test]
+    fn cpu_cost_needs_the_cpu_clock() {
+        let mut c = clock(&[1.0, 2.0], &[100, 100], &[1e-6, 2e-6]);
+        c.cpu_ends_s[1] = None;
+        assert_eq!(c.cpu_ns_per_upd(), None);
+    }
 }

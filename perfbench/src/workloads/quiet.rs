@@ -10,14 +10,16 @@
 //! run without gigabytes of input.
 
 use super::{
-    absorb_probe, check, checkpoint_probe, consolidate_probe, counter_spec, ctx, driver_probe,
-    ledgers, report_absorb, variability, Audit, Block, Clock, Counts, Setup, EPS, SETUP_EVERY,
-    SETUP_REPS, SHARDS, WORKERS,
+    absorb_probe, capture_probe, check, consolidate_probe, counter_spec, ctx, delta_probe,
+    driver_probe, encode_probe, ledgers, report_absorb, variability, Audit, Block, Clock, Counts,
+    Setup, EPS, SETUP_REPS, SETUP_SECONDS, SHARDS, WORKERS,
 };
 use crate::trace::{self, Tracer};
-use crate::{stats, Measured, Params, Scale};
+use crate::{Measured, Params, Scale};
 use dsv_core::api::TrackerSpec;
-use dsv_engine::{CheckpointStore, CounterEngine, EngineCheckpoint, EngineConfig, ShardedEngine};
+use dsv_engine::{
+    CheckpointStore, CounterEngine, DeltaStats, EngineCheckpoint, EngineConfig, ShardedEngine,
+};
 use dsv_gen::{DeltaGen, NearlyMonotoneGen};
 use std::time::Instant;
 
@@ -37,12 +39,14 @@ struct Size {
 
 fn size(scale: Scale) -> Size {
     match scale {
-        // 4.2 M inputs (32 MiB) per block: eight segments of 8 rounds,
-        // thousands of latency samples a run.
+        // 4.2 M inputs (32 MiB) per block: two segments of 32 rounds,
+        // thousands of latency samples a run. Segments this long keep
+        // the per-call thread start-up and the checkpoint a small share
+        // of a segment, which keeps the figures steady on a loaded host.
         Scale::Full => Size {
             batch: 8192,
-            segment_rounds: 8,
-            measure_segments: 512,
+            segment_rounds: 32,
+            measure_segments: 128,
             block_rounds: 64,
             driver_rounds: 16,
         },
@@ -56,10 +60,18 @@ fn size(scale: Scale) -> Size {
     }
 }
 
+/// The traced pass's state at its measure point.
+struct MeasureImage {
+    capture_ms: f64,
+    image: EngineCheckpoint,
+    stats: DeltaStats,
+}
+
 struct Pass {
     engine: CounterEngine,
     store: CheckpointStore,
-    last: Option<EngineCheckpoint>,
+    /// Taken in the traced pass only.
+    at: Option<MeasureImage>,
     clock: Clock,
     /// Per segment: `run_pipelined` alone.
     call_ns: Vec<u64>,
@@ -101,7 +113,6 @@ fn pass(
     sz: &Size,
     p: &Params,
     trace: bool,
-    setup: &mut dyn FnMut() -> Result<(), String>,
     tr: &mut Tracer,
 ) -> Result<Pass, String> {
     let sites: Vec<usize> = (0..K).collect();
@@ -109,7 +120,8 @@ fn pass(
     let seg_updates = (sz.segment_rounds * block.updates_per_round()) as u64;
     let mut clock = Clock::start(p.seconds, trace, sz.measure_segments);
     let (mut call_ns, mut audit, mut counts) = (Vec::new(), Audit::default(), Counts::default());
-    let (mut final_f, mut last);
+    let mut final_f;
+    let mut at = None;
     loop {
         let slices = block.slices(clock.calls() * sz.segment_rounds, sz.segment_rounds);
         let mut pushed = Ok(());
@@ -135,23 +147,27 @@ fn pass(
         tr.exit(open);
         pushed.map_err(ctx("push_batch"))?;
         call_ns.push(t.elapsed().as_nanos() as u64);
-        // The body of `checkpoint_into`, split so the traced pass can
-        // time the capture and the delta diff apart.
-        let capture = tr.enter("engine.checkpoint.capture");
-        let ckpt = engine.checkpoint().map_err(ctx("checkpoint"))?;
-        tr.exit(capture);
-        let record = tr.enter("engine.delta.record");
-        store.record(&ckpt).map_err(ctx("record"))?;
-        tr.exit(record);
+        let open = tr.enter("engine.checkpoint_into");
+        engine
+            .checkpoint_into(&mut store)
+            .map_err(ctx("checkpoint_into"))?;
+        tr.exit(open);
         clock.round(t.elapsed().as_nanos() as f64 / sz.segment_rounds as f64);
         audit.add(&rep);
         final_f = rep.final_f;
-        last = Some(ckpt);
         if clock.call(seg_updates) {
             let (t, m) = ledgers(&engine);
             counts = Counts::read(t + m, clock.total_updates());
+            if tr.enabled() {
+                let (capture_ms, image) = capture_probe(&mut engine, tr)?;
+                let stats = *store.stats();
+                at = Some(MeasureImage {
+                    capture_ms,
+                    image,
+                    stats,
+                });
+            }
         }
-        setup()?;
         if clock.done() {
             break;
         }
@@ -159,7 +175,7 @@ fn pass(
     Ok(Pass {
         engine,
         store,
-        last,
+        at,
         clock,
         call_ns,
         audit,
@@ -179,30 +195,24 @@ pub(crate) fn run(p: &Params, trace: bool) -> Result<Measured, String> {
             .map(|e| (e, CheckpointStore::new(cfg.delta_rebase_period())))
     };
 
-    // The first construction is timed before the input is generated.
-    let mut setup = Setup::new(build, SETUP_REPS, Some(SETUP_EVERY));
-    let built = setup.sample()?;
+    // The first burst of constructions is timed before the input is
+    // generated.
+    let mut setup = Setup::new(build, SETUP_REPS, 1, SETUP_SECONDS);
+    let built = setup.burst()?;
     let total = sz.block_rounds * K * sz.batch;
     let global = NearlyMonotoneGen::new(p.seed, BETA, DELETE_PROB).deltas(total as u64);
     let block = Block::deal(&global, K, sz.batch);
     drop(global);
 
     let mut out = Measured::default();
-    let mut a = pass(
-        built,
-        &block,
-        &sz,
-        p,
-        trace,
-        &mut || setup.tick(),
-        &mut Tracer::off(),
-    )?;
+    let mut a = pass(built, &block, &sz, p, trace, &mut Tracer::off())?;
     a.check(&sz, &block)?;
     out.details.push(("block_updates", total.to_string()));
     out.details.push(("segments", a.segments().to_string()));
 
     if !trace {
         let v = &mut out.values;
+        setup.burst()?;
         v.set("setup_s", setup.median_s());
         a.clock.report(v, &mut out.details);
         a.counts.report(v);
@@ -212,11 +222,11 @@ pub(crate) fn run(p: &Params, trace: bool) -> Result<Measured, String> {
     }
 
     let untraced = a.clock.throughput();
-    a.clock.report_p99(&mut out.values);
+    a.clock.report_wall(&mut out.values, &mut out.details);
     drop(a);
     let mut tr = Tracer::on();
-    let built = setup.sample()?;
-    let mut b = pass(built, &block, &sz, p, trace, &mut || setup.tick(), &mut tr)?;
+    let built = setup.burst()?;
+    let mut b = pass(built, &block, &sz, p, trace, &mut tr)?;
     b.check(&sz, &block)?;
     traced_probes(spec, &block, &sz, &mut b, &mut out, &mut tr)?;
     out.values
@@ -259,10 +269,6 @@ fn traced_probes(
     );
     v.set("engine.ingest.high_water", ingest.high_water as f64);
 
-    let captures = trace::durations(&spans, "engine.checkpoint.capture");
-    let capture_ms: Vec<f64> = captures.iter().map(|&ns| ns as f64 / 1e6).collect();
-    v.set("engine.checkpoint.capture_ms", stats::median(&capture_ms));
-
     let probe = absorb_probe(spec, block, b.segments(), sz.segment_rounds, tr)?;
     let shard_estimates = b.engine.shard_estimates();
     check(probe.estimates == shard_estimates, || {
@@ -280,6 +286,8 @@ fn traced_probes(
     v.set("core.tracker.msgs_per_kupd", t as f64 * 1e3 / n);
     v.set("engine.merge.msgs_per_kupd", m as f64 * 1e3 / n);
     b.audit.report(v);
-    let last = b.last.as_ref().ok_or("quiet: no checkpoint recorded")?;
-    checkpoint_probe(last, &b.store, v, tr)
+    let at = b.at.as_ref().ok_or("quiet: no measure-point image")?;
+    v.set("engine.checkpoint.capture_ms", at.capture_ms);
+    encode_probe(&at.image, v, tr);
+    delta_probe(&at.image, &b.store, &at.stats, v, tr)
 }

@@ -42,14 +42,17 @@ struct Size {
 
 fn size(scale: Scale) -> Size {
     match scale {
-        // 1 M inputs (8 MiB) per block: 128 segments of 2 rounds.
+        // 4 M inputs (32 MiB) per block: 8 segments of 2 rounds. A round
+        // carries 256 Ki inputs, so the CPU work of a round outweighs
+        // the wake-ups around its delayed-ACK waits, whose cost follows
+        // what else the host runs.
         Scale::Full => Size {
-            batch: 1000,
+            batch: 65_536,
             segment_rounds: 2,
             measure_segments: 16,
             spawns: 5,
-            block_rounds: 256,
-            driver_rounds: 256,
+            block_rounds: 16,
+            driver_rounds: 16,
         },
         Scale::Tiny => Size {
             batch: 50,
@@ -245,12 +248,9 @@ pub(crate) fn run(p: &Params, trace: bool) -> Result<Measured, String> {
         .checkpoint_every(COMMIT_EVERY);
     let build = || RemoteEngine::counters(spec, cfg, RemoteConfig::default());
 
-    // The first construction is timed before the input is generated.
-    let mut setup = Setup::new(build, 1, None);
-    for _ in 1..sz.spawns {
-        setup.sample()?;
-    }
-    let engine = setup.sample()?;
+    // The first burst of spawns is timed before the input is generated.
+    let mut setup = Setup::new(build, 1, sz.spawns, 0.0);
+    let engine = setup.burst()?;
     let total = sz.block_rounds * K * sz.batch;
     let global = WalkGen::biased(p.seed, MU).deltas(total as u64);
     let block = Block::deal(&global, K, sz.batch);
@@ -264,11 +264,12 @@ pub(crate) fn run(p: &Params, trace: bool) -> Result<Measured, String> {
         .push(("failovers", a.engine.events().len().to_string()));
     let untraced = a.clock.throughput();
     if trace {
-        a.clock.report_p99(&mut out.values);
+        a.clock.report_wall(&mut out.values, &mut out.details);
     }
 
     if !trace {
         let v = &mut out.values;
+        setup.burst()?;
         v.set("setup_s", setup.median_s());
         a.clock.report(v, &mut out.details);
         a.counts.report(v);
@@ -279,7 +280,7 @@ pub(crate) fn run(p: &Params, trace: bool) -> Result<Measured, String> {
 
     drop(a);
     let mut tr = Tracer::on();
-    let engine = setup.sample()?;
+    let engine = setup.burst()?;
     let mut b = pass(engine, &block, &sz, p, trace, &mut tr)?;
     let pull = pull_probe(&mut b, &block, &sz, &mut tr)?;
     check_against_local(spec, cfg, &block, &mut b)?;
@@ -346,7 +347,7 @@ fn traced_probes(
     let clean: Vec<(u64, u64)> = b
         .segment_ns
         .iter()
-        .zip(&probe.slowest_group_ns)
+        .zip(&probe.call_absorb_ns)
         .zip(&b.faulted)
         .filter(|(_, &f)| !f)
         .map(|((&call, &absorb), _)| (call, absorb))

@@ -47,12 +47,6 @@ fn quiet_pipelined_emits_every_metric() {
 }
 
 #[test]
-fn loud_rounds_emits_every_metric() {
-    tiny(Workload::Loud, false);
-    tiny(Workload::Loud, true);
-}
-
-#[test]
 fn fleet_zipf_emits_every_metric() {
     tiny(Workload::Fleet, false);
     tiny(Workload::Fleet, true);
