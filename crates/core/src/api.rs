@@ -20,15 +20,13 @@
 //!   [`build_item`](TrackerSpec::build_item) return typed
 //!   [`BuildError`]s instead of panicking on `SingleSite` with `k ≠ 1`,
 //!   deletions into monotone kinds, missing universes, and the like;
-//! * [`Driver`] — a single generic runner unifying the old
-//!   `dsv_net::TrackerRunner` (counting, `In = i64`) and
-//!   `frequencies::FreqRunner` (items, `In = (u64, i64)`) stacks: same
-//!   [`RunReport`], same probe sampling, same violation accounting, plus
-//!   the paper's `q`-floor as an opt-in audit knob
-//!   ([`Driver::with_floor`]).
+//! * [`Driver`] — a single generic runner for counting (`In = i64`) and
+//!   item (`In = (u64, i64)`) streams: one [`RunReport`], one probe
+//!   sampling, one violation accounting, plus the paper's `q`-floor as an
+//!   opt-in audit knob ([`Driver::with_floor`]).
 //!
-//! The deprecated `monitor::Monitor` enum remains as a thin shim for one
-//! release; see the workspace `MIGRATION.md` for the old-to-new mapping.
+//! The workspace `MIGRATION.md` maps the removed `Monitor` enum and
+//! `FreqRunner` onto this layer.
 //!
 //! # Example
 //!
@@ -273,21 +271,6 @@ impl TrackerKind {
     /// Whether the algorithm is randomized (consumes the spec's seed).
     pub fn is_randomized(self) -> bool {
         self.info().randomized
-    }
-}
-
-#[allow(deprecated)]
-impl From<crate::monitor::MonitorKind> for TrackerKind {
-    fn from(kind: crate::monitor::MonitorKind) -> Self {
-        use crate::monitor::MonitorKind;
-        match kind {
-            MonitorKind::Deterministic => TrackerKind::Deterministic,
-            MonitorKind::Randomized => TrackerKind::Randomized,
-            MonitorKind::SingleSite => TrackerKind::SingleSite,
-            MonitorKind::Naive => TrackerKind::Naive,
-            MonitorKind::CmyMonotone => TrackerKind::CmyMonotone,
-            MonitorKind::HyzMonotone => TrackerKind::HyzMonotone,
-        }
     }
 }
 
@@ -1196,8 +1179,8 @@ impl ItemRunReport {
 /// the paper's guarantee after **every** timestep.
 ///
 /// `Driver<i64>` (the default) replaces `dsv_net::TrackerRunner` for the
-/// counting problem; [`ItemDriver`] (= `Driver<(u64, i64)>`) replaces
-/// `frequencies::FreqRunner` for the item-frequency problem — one
+/// counting problem; [`ItemDriver`] (= `Driver<(u64, i64)>`) drives the
+/// item-frequency problem — one
 /// [`RunReport`], one probe-sampling mechanism, one violation accounting
 /// for both.
 ///
@@ -1732,47 +1715,6 @@ mod tests {
             .with_floor(f64::NAN)
             .is_err());
         assert!(Driver::<i64>::new(1.5).is_err());
-    }
-
-    #[test]
-    fn item_driver_matches_freq_runner_accounting() {
-        let updates = ItemStreamGen::new(9, 128, 1.1, 0.3, 1).updates(6_000, RoundRobin::new(4));
-        let mut a = crate::frequencies::ExactFreqTracker::sim(4, 0.2, 128);
-        #[allow(deprecated)]
-        let old = crate::frequencies::FreqRunner::new(0.2, 500).run(&mut a, &updates);
-        let mut b = TrackerSpec::new(TrackerKind::ExactFreq)
-            .k(4)
-            .eps(0.2)
-            .universe(128)
-            .build_item()
-            .unwrap();
-        let new = ItemDriver::new(0.2)
-            .unwrap()
-            .with_item_audit(500)
-            .run_items(&mut b, &updates)
-            .unwrap();
-        assert_eq!(new.run.n, old.n);
-        assert_eq!(new.run.final_f, old.final_f1);
-        assert_eq!(new.run.violations, old.f1_violations);
-        assert_eq!(new.audits, old.audits);
-        assert_eq!(new.item_violations, old.item_violations);
-        assert_eq!(new.max_err_over_f1, old.max_err_over_f1);
-        assert_eq!(new.run.stats, old.stats);
-        assert_eq!(new.coord_space_words, old.coord_space_words);
-        assert_eq!(new.item_violation_rate(), old.item_violation_rate());
-    }
-
-    #[test]
-    fn monitor_kind_converts_to_tracker_kind() {
-        #[allow(deprecated)]
-        {
-            use crate::monitor::MonitorKind;
-            for kind in MonitorKind::ALL {
-                let t: TrackerKind = kind.into();
-                assert_eq!(t.label(), kind.label());
-                assert_eq!(t.supports_deletions(), kind.supports_deletions());
-            }
-        }
     }
 
     #[test]

@@ -227,8 +227,10 @@ impl BlockCoordinator {
         }
     }
 
-    /// Record a [`BlockInfo`] per completed block (costs memory; used by
-    /// experiments).
+    /// Record a [`BlockInfo`] per completed block. Off by default: the
+    /// log grows by one entry per block for the life of the coordinator
+    /// and rides along in every snapshot, so only runs that read the
+    /// block structure (tests, the E04 experiment) turn it on.
     pub fn enable_log(&mut self) {
         if self.log.is_none() {
             self.log = Some(Vec::new());
@@ -296,7 +298,8 @@ impl BlockCoordinator {
     }
 
     /// Restore state written by [`save_state`](Self::save_state); the
-    /// serialized site count must match this coordinator's.
+    /// serialized site count must match this coordinator's. The image's
+    /// block log is restored only if this coordinator keeps one.
     pub fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
         let k = dec.usize()?;
         if k != self.k {
@@ -315,9 +318,10 @@ impl BlockCoordinator {
         self.reply_f_sum = dec.i64()?;
         self.block_index = dec.u64()?;
         self.block_start = dec.u64()?;
-        self.log = if dec.bool()? {
+        let mut log = Vec::new();
+        if dec.bool()? {
             let n = dec.seq_len("block log", 44)?;
-            let mut log = Vec::with_capacity(n);
+            log.reserve(n);
             for _ in 0..n {
                 log.push(BlockInfo {
                     index: dec.u64()?,
@@ -328,10 +332,14 @@ impl BlockCoordinator {
                     f_end: dec.i64()?,
                 });
             }
-            Some(log)
-        } else {
-            None
-        };
+        }
+        // The log belongs to the receiver: one that keeps a log takes
+        // the image's (empty if the image has none), one that does not
+        // decodes and drops it — so a logless replica stays logless
+        // whatever image it resumes from.
+        if self.log.is_some() {
+            self.log = Some(log);
+        }
         Ok(())
     }
 

@@ -221,15 +221,21 @@ pub struct DetCoord {
 }
 
 impl DetCoord {
-    /// Fresh coordinator for `k` sites with block logging enabled.
+    /// Fresh coordinator for `k` sites (block log off).
     pub fn new(k: usize) -> Self {
-        let mut blocks = BlockCoordinator::new(BlockConfig::new(k));
-        blocks.enable_log();
         DetCoord {
-            blocks,
+            blocks: BlockCoordinator::new(BlockConfig::new(k)),
             dhat: vec![0; k],
             dhat_sum: 0,
         }
+    }
+
+    /// Record every completed block ([`BlockCoordinator::log`]) — one
+    /// entry per block for the life of the tracker, and in every
+    /// snapshot, so only for runs that read the block structure.
+    pub fn with_block_log(mut self) -> Self {
+        self.blocks.enable_log();
+        self
     }
 
     /// Access the partitioner (radius, sync value, block log).

@@ -392,11 +392,9 @@ pub struct RFreqCoord<M: CounterMap> {
 impl<M: CounterMap> RFreqCoord<M> {
     /// Fresh coordinator (reduction must match the sites').
     pub fn new(k: usize, map: M, eps: f64, c: f64) -> Self {
-        let mut blocks = BlockCoordinator::new(BlockConfig::new(k));
-        blocks.enable_log();
         let n = map.counters();
         RFreqCoord {
-            blocks,
+            blocks: BlockCoordinator::new(BlockConfig::new(k)),
             map,
             base: vec![0; n],
             dhat_plus: vec![0.0; n * k],
@@ -624,10 +622,10 @@ impl RandFreqTracker {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // compares against the FreqRunner shim until its removal
 mod tests {
     use super::*;
-    use crate::frequencies::{ExactFreqTracker, FreqRunner};
+    use crate::api::ItemDriver;
+    use crate::frequencies::ExactFreqTracker;
     use dsv_gen::{ItemStreamGen, RoundRobin};
     use dsv_net::ItemUpdate;
     use dsv_sketch::{ExactCounts, FreqSketch};
@@ -685,7 +683,7 @@ mod tests {
         for u in &updates {
             truth.update(u.item, u.delta);
             sim.step(u.site, (u.item, u.delta));
-            let nblocks = sim.coordinator().blocks().log().unwrap().len();
+            let nblocks = sim.coordinator().blocks().block_index() as usize;
             if nblocks > blocks_seen {
                 blocks_seen = nblocks;
                 // Immediately after a block end, heavy counters were just
@@ -746,7 +744,11 @@ mod tests {
         let (k, eps, universe) = (4usize, 0.2f64, 250usize);
         let updates = stream(12_000, k, universe, 41);
         let mut det = ExactFreqTracker::sim(k, eps, universe);
-        let det_report = FreqRunner::new(eps, 1_000).run(&mut det, &updates);
+        let det_report = ItemDriver::new(eps)
+            .unwrap()
+            .with_item_audit(1_000)
+            .run_items(&mut det, &updates)
+            .unwrap();
         assert_eq!(det_report.item_violations, 0);
         // The randomized variant is allowed failures but must stay far
         // from always-wrong.

@@ -38,7 +38,6 @@ pub mod expand;
 pub mod frequencies;
 pub mod frequencies_rand;
 pub mod lower_bound;
-pub mod monitor;
 pub mod randomized;
 pub mod single_site;
 pub mod tracing;
@@ -51,13 +50,9 @@ pub use api::{
 pub use blocks::{BlockConfig, BlockCoordinator, BlockInfo, BlockSite};
 pub use codec::{CodecError, TrackerState};
 pub use deterministic::DeterministicTracker;
-#[allow(deprecated)]
-pub use frequencies::FreqRunner;
-pub use frequencies::{CountMinFreqTracker, CrPrecisFreqTracker, ExactFreqTracker, FreqRunReport};
+pub use frequencies::{CountMinFreqTracker, CrPrecisFreqTracker, ExactFreqTracker};
 pub use frequencies_rand::RandFreqTracker;
 pub use lower_bound::{DetFlipFamily, FlipSequence, RandSwitchFamily};
-#[allow(deprecated)]
-pub use monitor::{Monitor, MonitorKind};
 pub use randomized::RandomizedTracker;
 pub use single_site::SingleSiteTracker;
 pub use tracing::{HistorySummary, TracingRecorder};

@@ -236,10 +236,8 @@ impl RandCoord {
     /// Fresh coordinator with a non-default sampling constant `c` (must
     /// match the sites').
     pub fn with_sampling_constant(c: f64, k: usize, eps: f64) -> Self {
-        let mut blocks = BlockCoordinator::new(BlockConfig::new(k));
-        blocks.enable_log();
         RandCoord {
-            blocks,
+            blocks: BlockCoordinator::new(BlockConfig::new(k)),
             dhat_plus: vec![0.0; k],
             dhat_minus: vec![0.0; k],
             sum_plus: 0.0,
@@ -255,6 +253,12 @@ impl RandCoord {
     /// Access the partitioner (radius, sync value, block log).
     pub fn blocks(&self) -> &BlockCoordinator {
         &self.blocks
+    }
+
+    /// Record every completed block; see [`crate::deterministic::DetCoord::with_block_log`].
+    pub fn with_block_log(mut self) -> Self {
+        self.blocks.enable_log();
+        self
     }
 
     /// The HYZ estimator update for one received sample value `d`.
@@ -428,7 +432,11 @@ mod tests {
     fn block_ends_are_exact_syncs() {
         let k = 4;
         let updates = WalkGen::biased(3, 0.4).updates(20_000, RoundRobin::new(k));
-        let mut sim = RandomizedTracker::sim(k, 0.1, 5);
+        let mut sim = StarSim::with_k(
+            k,
+            |i| RandSite::new(0.1, k, 5 + i as u64),
+            RandCoord::new(k, 0.1).with_block_log(),
+        );
         let mut f = 0i64;
         let mut truth = Vec::with_capacity(updates.len());
         for u in &updates {

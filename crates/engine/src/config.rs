@@ -344,6 +344,18 @@ pub enum EngineError {
         /// The value found in the checkpoint.
         found: u64,
     },
+    /// A shard replica disagrees with replica 0 on kind or site count
+    /// (the replicas track shards of one logical stream).
+    ReplicaMismatch {
+        /// The disagreeing replica.
+        shard: usize,
+        /// What disagreed.
+        what: &'static str,
+        /// Replica 0's value.
+        expected: u64,
+        /// This replica's value.
+        found: u64,
+    },
     /// [`crate::ShardedEngine::rescale`] needs at least one worker.
     ZeroWorkers,
     /// A pipelined feed queue must hold at least one input
@@ -387,6 +399,15 @@ impl std::fmt::Display for EngineError {
             } => write!(
                 fm,
                 "checkpoint mismatch: {what} is {found} in the checkpoint but {expected} in the engine"
+            ),
+            EngineError::ReplicaMismatch {
+                shard,
+                what,
+                expected,
+                found,
+            } => write!(
+                fm,
+                "shard replica {shard} disagrees with replica 0: {what} is {found}, expected {expected}"
             ),
             EngineError::ZeroWorkers => write!(fm, "need at least one worker"),
             EngineError::ZeroQueueCapacity => {

@@ -129,7 +129,7 @@ impl std::error::Error for FeedError {}
 const PARK_TIMEOUT: Duration = Duration::from_micros(100);
 
 /// The bounded SPSC ring. One producer ([`ShardFeed`]) and one consumer
-/// (the owning worker's [`RingConsumer`]) — the discipline is enforced by
+/// (the worker that drains the feed's shard) — the discipline is enforced by
 /// handle ownership, not checked at runtime.
 ///
 /// Lock-free on the data path: `tail` counts items ever pushed (written
@@ -347,19 +347,6 @@ impl<T: Copy> Ring<T> {
             high_water: self.high_water.load(Ordering::Relaxed),
             dropped: self.occupancy(),
         });
-    }
-}
-
-/// The consumer end of one feed's ring, owned by the worker that drives
-/// the feed's shard.
-pub(crate) struct RingConsumer<T: Copy> {
-    pub(crate) ring: Arc<Ring<T>>,
-    pub(crate) site: SiteId,
-}
-
-impl<T: Copy> RingConsumer<T> {
-    pub(crate) fn pop_round(&self, out: &mut Vec<T>, want: usize) {
-        self.ring.pop_round(out, want);
     }
 }
 
@@ -889,10 +876,10 @@ pub use async_feed::{AsyncPush, AsyncPushBatch};
 mod tests {
     use super::*;
 
-    fn feed_pair(cap: usize, policy: Backpressure) -> (ShardFeed<i64>, RingConsumer<i64>) {
+    fn feed_pair(cap: usize, policy: Backpressure) -> (ShardFeed<i64>, Arc<Ring<i64>>) {
         let ring = Arc::new(Ring::new(cap));
         let feed = ShardFeed::new(Arc::clone(&ring), 0, 0, 0, policy, true);
-        (feed, RingConsumer { ring, site: 0 })
+        (feed, ring)
     }
 
     #[test]
@@ -965,7 +952,7 @@ mod tests {
         // surfaces them as dropped.
         let (mut feed, cons) = feed_pair(4, Backpressure::Block);
         std::thread::scope(|scope| {
-            let ring = Arc::clone(&cons.ring);
+            let ring = Arc::clone(&cons);
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
                 ring.close();
@@ -974,7 +961,7 @@ mod tests {
             assert_eq!(err, FeedError::Closed { pushed: 4 });
         });
         let mut stats = IngestStats::new();
-        cons.ring.drain_stats(&mut stats);
+        cons.drain_stats(&mut stats);
         assert_eq!(stats.items, 4);
         assert_eq!(stats.frames, 1);
         assert_eq!(stats.push_stalls, 1);
@@ -996,7 +983,7 @@ mod tests {
             cons.pop_round(&mut out, n as usize + 5);
             assert_eq!(out.len(), n as usize);
             assert!(out.iter().copied().eq(0..n));
-            assert!(cons.ring.is_closed());
+            assert!(cons.is_closed());
         });
     }
 
@@ -1048,7 +1035,7 @@ mod tests {
         let mut out = Vec::new();
         cons.pop_round(&mut out, 4);
         let mut stats = IngestStats::new();
-        cons.ring.drain_stats(&mut stats);
+        cons.drain_stats(&mut stats);
         assert_eq!(stats.frames, 2);
         assert_eq!(stats.items, 4);
         assert_eq!(stats.words, 4); // i64 inputs: one word each

@@ -81,6 +81,7 @@ mod partition;
 #[cfg(feature = "remote")]
 pub mod remote;
 mod report;
+mod round;
 mod sharded;
 
 pub use checkpoint::{EngineCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};

@@ -57,12 +57,11 @@ pub mod worker;
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::{EngineConfig, EngineError};
 use crate::ingest::{Backpressure, Ring};
-use crate::merge::MergeCoordinator;
 use crate::partition::InputDelta;
 use crate::report::EngineReport;
-use crate::sharded::RunAudit;
+use crate::round::{chunk_bounds, validate_feeds, Cut, RunAudit, ShardRound};
 use dsv_core::api::{Problem, RunError, TrackerKind, TrackerSpec};
-use dsv_core::codec::{CodecError, Enc, TrackerState};
+use dsv_core::codec::{CodecError, TrackerState};
 use dsv_net::transport::{
     parse_hello, Conn, Endpoint, Listener, Role, TransportError, WireStats, DEFAULT_MAX_FRAME,
 };
@@ -74,8 +73,10 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{JoinHandle, Scope, ScopedJoinHandle};
-use std::time::{Duration, Instant};
-use wire::{Chunk, Inputs, RoundWork, ShardInit, StateEntry, StatePull, ToCoord, ToWorker};
+use std::time::Duration;
+use wire::{
+    Chunk, Inputs, RoundEntry, RoundWork, ShardInit, StateEntry, StatePull, ToCoord, ToWorker,
+};
 
 /// How the coordinator rendezvouses with its shard workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,6 +374,17 @@ impl RemoteInput for (u64, i64) {
     }
 }
 
+impl From<RoundEntry> for ShardRound {
+    fn from(e: RoundEntry) -> Self {
+        ShardRound {
+            sid: e.sid,
+            est: e.estimate,
+            sum: e.sum,
+            len: e.len,
+        }
+    }
+}
+
 /// One worker slot: its live connection (None once dead), the OS child
 /// or thread backing it, and its spawn generation.
 struct Slot {
@@ -403,11 +415,12 @@ pub struct RemoteEngine<In: RemoteInput> {
     workers: Vec<Slot>,
     /// sid → owning worker slot (starts `sid % W`; reattach rewrites it).
     owner: Vec<usize>,
-    coord: MergeCoordinator,
+    /// The boundary state; its `dirty` counters count the inputs each
+    /// shard absorbed since the last committed checkpoint cut (the
+    /// dirty-shard skip, and exactly what a failover replay re-applies).
+    cut: Cut,
     ckpt_stats: CommStats,
     wire: WireStats,
-    time: Time,
-    f: i64,
     /// Per-shard state at the last committed checkpoint cut.
     ckpt_states: Vec<Option<TrackerState>>,
     /// Per-shard delta base: the last snapshot each worker shipped (or
@@ -420,9 +433,6 @@ pub struct RemoteEngine<In: RemoteInput> {
     /// rebase counter driving [`EngineConfig::delta_rebase`] over the
     /// wire (the coordinator requests a full state every K-th pull).
     links_since_base: Vec<u64>,
-    /// Inputs absorbed per shard since that cut (the dirty-shard skip,
-    /// and exactly what a failover replay re-applies).
-    dirty: Vec<u64>,
     faults: FaultPlan,
     events: Vec<FailoverEvent>,
     failovers: u32,
@@ -484,15 +494,12 @@ impl<In: RemoteInput> RemoteEngine<In> {
             listener,
             workers: Vec::new(),
             owner: (0..s_count).map(|sid| sid % w_count).collect(),
-            coord: MergeCoordinator::new(s_count),
+            cut: Cut::new(s_count),
             ckpt_stats: CommStats::new(),
             wire: WireStats::new(),
-            time: 0,
-            f: 0,
             ckpt_states: vec![None; s_count],
             wire_base: vec![None; s_count],
             links_since_base: vec![0; s_count],
-            dirty: vec![0; s_count],
             faults: FaultPlan::new(),
             events: Vec::new(),
             failovers: 0,
@@ -535,18 +542,18 @@ impl<In: RemoteInput> RemoteEngine<In> {
 
     /// Updates consumed so far (across all runs).
     pub fn time(&self) -> Time {
-        self.time
+        self.cut.time
     }
 
     /// The coordinator-side global estimate `f̂ = Σ_s f̂_s`.
     pub fn estimate(&self) -> i64 {
-        self.coord.estimate()
+        self.cut.merge.estimate()
     }
 
     /// Engine-level shard → coordinator reconciliation traffic —
     /// bit-identical to the in-process engine's over the same feeds.
     pub fn merge_stats(&self) -> &CommStats {
-        self.coord.stats()
+        self.cut.merge.stats()
     }
 
     /// Snapshot traffic pulled over the wire by checkpoint commits, one
@@ -608,16 +615,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
             .iter()
             .map(|s| s.clone().expect("checkpoint commit fills every shard"))
             .collect();
-        let mut merge = Enc::new();
-        self.coord.save_state(&mut merge);
-        Ok(EngineCheckpoint::new(
-            self.kind,
-            self.k,
-            self.time,
-            self.f,
-            merge.into_bytes(),
-            states,
-        ))
+        Ok(self.cut.checkpoint(self.kind, self.k, states))
     }
 
     /// Ingest pre-parted per-site feeds through the shard workers —
@@ -627,37 +625,14 @@ impl<In: RemoteInput> RemoteEngine<In> {
     /// (respawn/reattach + replay from the last committed checkpoint);
     /// every recovery is recorded in [`events`](Self::events).
     pub fn run_parted(&mut self, feeds: &[(SiteId, &[In])]) -> Result<EngineReport, RemoteError> {
-        let started = Instant::now();
+        validate_feeds(feeds, self.k, self.kind, self.cut.time)?;
         let batch = self.cfg.batch_size();
-        let deletions_ok = self.kind.supports_deletions();
-
-        for &(site, inputs) in feeds {
-            if site >= self.k {
-                return Err(RunError::SiteOutOfRange {
-                    site,
-                    k: self.k,
-                    time: self.time,
-                }
-                .into());
-            }
-            if !deletions_ok {
-                if let Some(pos) = inputs.iter().position(|&x| x.delta_of() < 0) {
-                    return Err(RunError::DeletionUnsupported {
-                        kind: self.kind,
-                        time: self.time + pos as Time + 1,
-                    }
-                    .into());
-                }
-            }
-        }
-
-        let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
         let rounds = feeds
             .iter()
             .map(|(_, inputs)| inputs.len().div_ceil(batch))
             .max()
             .unwrap_or(0);
-        let mut audit = RunAudit::new(self.cfg.eps_value(), self.cfg.probe_period());
+        let mut audit = RunAudit::start(&self.cfg, &self.cut);
         let period = self.cfg.checkpoint_period();
         // Rounds fully absorbed this call, and how many of those the last
         // committed checkpoint covers — the replay window on failover.
@@ -682,19 +657,8 @@ impl<In: RemoteInput> RemoteEngine<In> {
             drove?;
         } else {
             for round in 0..rounds {
-                let entries = self.exchange_round(feeds, round, ckpt_rounds, rounds_done)?;
-                // Same per-boundary order as the in-process path: fold
-                // ground truth, absorb end-of-round estimates ascending
-                // sid, audit.
-                for (&sid, &(_, sum, len)) in &entries {
-                    self.f += sum;
-                    self.time += len as Time;
-                    self.dirty[sid] += len;
-                }
-                for (&sid, &(est, _, _)) in &entries {
-                    self.coord.absorb(sid, est);
-                }
-                audit.boundary(self.time, self.f, self.coord.estimate());
+                let mut reports = self.exchange_round(feeds, round, ckpt_rounds, rounds_done)?;
+                self.cut.fold(&mut audit, &mut reports);
                 rounds_done += 1;
                 for w in 0..self.workers.len() {
                     if let Some(kind) = self.faults.take(FaultPoint::AtBoundary(rounds_done - 1), w)
@@ -718,34 +682,25 @@ impl<In: RemoteInput> RemoteEngine<In> {
         self.sync_checkpoint(feeds, None, &mut ckpt_rounds, rounds_done)?;
 
         let (_, tracker_stats) = self.resume_final()?;
-        Ok(EngineReport {
-            n: total as u64,
-            batches: audit.batches,
-            shards: self.cfg.shards_count(),
-            workers: self.workers.len(),
-            batch_size: batch,
-            final_f: self.f,
-            final_estimate: self.coord.estimate(),
-            boundary_violations: audit.violations,
-            max_boundary_rel_err: audit.max_err,
+        Ok(self.cut.finish(
+            audit,
+            &self.cfg,
+            self.workers.len(),
             tracker_stats,
-            merge_stats: self.coord.stats().clone(),
-            ingest_stats: IngestStats::new(),
-            probes: audit.probes,
-            elapsed: started.elapsed(),
-        })
+            IngestStats::new(),
+        ))
     }
 
     /// Drive one round to completion: send each worker its feed-order
-    /// chunks, collect the per-shard `(estimate, Σδ, len)` entries, and
-    /// fail over + re-send whatever a dead worker left unreported.
+    /// chunks, collect the per-shard reports, and fail over + re-send
+    /// whatever a dead worker left unreported.
     fn exchange_round(
         &mut self,
         feeds: &[(SiteId, &[In])],
         round: usize,
         ckpt_rounds: u64,
         rounds_done: u64,
-    ) -> Result<BTreeMap<usize, (i64, i64, u64)>, RemoteError> {
+    ) -> Result<Vec<ShardRound>, RemoteError> {
         let s_count = self.cfg.shards_count();
         let batch = self.cfg.batch_size();
         let mut remaining: BTreeSet<usize> = feeds
@@ -753,7 +708,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
             .filter(|(_, inputs)| chunk_bounds(inputs.len(), batch, round).is_some())
             .map(|&(site, _)| site % s_count)
             .collect();
-        let mut entries: BTreeMap<usize, (i64, i64, u64)> = BTreeMap::new();
+        let mut entries: BTreeMap<usize, ShardRound> = BTreeMap::new();
 
         while !remaining.is_empty() {
             let mut per_worker: BTreeMap<usize, Vec<Chunk>> = BTreeMap::new();
@@ -799,13 +754,12 @@ impl<In: RemoteInput> RemoteEngine<In> {
                 match self.recv_coord(w) {
                     Ok(ToCoord::RoundReport { round: r, reports }) if r == rounds_done => {
                         for e in reports {
-                            entries.insert(e.sid, (e.estimate, e.sum, e.len));
                             remaining.remove(&e.sid);
+                            entries.insert(e.sid, e.into());
                         }
                         // A live worker must report every shard it was
                         // sent — resending to it would double-apply.
-                        if let Some(&sid) = sids.iter().find(|sid| remaining.contains(sid)) {
-                            let _ = sid;
+                        if sids.iter().any(|sid| remaining.contains(sid)) {
                             return Err(RemoteError::Protocol {
                                 worker: w,
                                 what: "round report missing a dispatched shard",
@@ -828,7 +782,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                 self.failover(w, feeds, ckpt_rounds, rounds_done)?;
             }
         }
-        Ok(entries)
+        Ok(entries.into_values().collect())
     }
 
     /// Drive the whole run's rounds through per-worker bounded send
@@ -892,7 +846,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                 // yet received) and per-round report entries received
                 // but not yet absorbed.
                 let mut outstanding: Vec<VecDeque<u64>> = vec![VecDeque::new(); w_count];
-                let mut pending: BTreeMap<u64, BTreeMap<usize, (i64, i64, u64)>> = BTreeMap::new();
+                let mut pending: BTreeMap<u64, BTreeMap<usize, ShardRound>> = BTreeMap::new();
                 let mut staged: u64 = 0;
 
                 while (*rounds_done as usize) < rounds {
@@ -1017,7 +971,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                         outstanding[w].pop_front();
                                         let slot = pending.entry(round).or_default();
                                         for e in reports {
-                                            slot.insert(e.sid, (e.estimate, e.sum, e.len));
+                                            slot.insert(e.sid, e.into());
                                         }
                                     }
                                     Ok(_) => {
@@ -1066,18 +1020,8 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                     });
                                 }
                             }
-                            // Same per-boundary order as the synchronous
-                            // path: fold ground truth, absorb ascending
-                            // sid, audit.
-                            for (&sid, &(_, sum, len)) in &entries {
-                                self.f += sum;
-                                self.time += len as Time;
-                                self.dirty[sid] += len;
-                            }
-                            for (&sid, &(est, _, _)) in &entries {
-                                self.coord.absorb(sid, est);
-                            }
-                            audit.boundary(self.time, self.f, self.coord.estimate());
+                            let mut reports: Vec<ShardRound> = entries.into_values().collect();
+                            self.cut.fold(audit, &mut reports);
                             *rounds_done += 1;
                             for w in 0..w_count {
                                 if let Some(kind) = self
@@ -1164,7 +1108,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
         rounds_done: u64,
         frontier: u64,
         outstanding: &mut [VecDeque<u64>],
-        pending: &mut BTreeMap<u64, BTreeMap<usize, (i64, i64, u64)>>,
+        pending: &mut BTreeMap<u64, BTreeMap<usize, ShardRound>>,
     ) -> Result<(), RemoteError> {
         let s_count = self.cfg.shards_count();
         let batch = self.cfg.batch_size();
@@ -1199,7 +1143,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                     Ok(ToCoord::RoundReport { round, reports }) if round == rr => {
                         let slot = pending.entry(rr).or_default();
                         for e in reports {
-                            slot.insert(e.sid, (e.estimate, e.sum, e.len));
+                            slot.insert(e.sid, e.into());
                         }
                     }
                     Ok(_) => {
@@ -1243,7 +1187,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
         rounds_done: u64,
     ) -> Result<(), RemoteError> {
         let need: Vec<usize> = (0..self.cfg.shards_count())
-            .filter(|&sid| self.dirty[sid] > 0 || self.ckpt_states[sid].is_none())
+            .filter(|&sid| self.cut.dirty[sid] > 0 || self.ckpt_states[sid].is_none())
             .collect();
         if need.is_empty() {
             *ckpt_rounds = rounds_done;
@@ -1360,7 +1304,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                     let frame = StateFrame::for_payload(sid, wire_len);
                     self.ckpt_stats.charge(MsgKind::Up, frame.words());
                     self.ckpt_states[sid] = Some(state);
-                    self.dirty[sid] = 0;
+                    self.cut.dirty[sid] = 0;
                 }
                 *ckpt_rounds = rounds_done;
                 return Ok(());
@@ -1853,18 +1797,6 @@ fn rebuild_lane<'scope, 'env, In: RemoteInput>(
         rpf,
     ));
     rings[w] = ring;
-}
-
-/// The `run_parted` chunking rule: round `round`'s slice of a feed of
-/// `len` inputs, or `None` when the feed is exhausted.
-fn chunk_bounds(len: usize, batch: usize, round: usize) -> Option<(usize, usize)> {
-    let lo = (round * batch).min(len);
-    let hi = ((round + 1) * batch).min(len);
-    if lo == hi {
-        None
-    } else {
-        Some((lo, hi))
-    }
 }
 
 #[cfg(test)]

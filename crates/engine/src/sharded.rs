@@ -4,20 +4,17 @@ use crate::checkpoint::EngineCheckpoint;
 use crate::config::{EngineConfig, EngineError};
 use crate::consolidate::{ConsolidateInput, Consolidator};
 use crate::delta::CheckpointStore;
-use crate::ingest::{Ring, RingConsumer, ShardFeed};
-use crate::merge::MergeCoordinator;
+use crate::ingest::{Ring, ShardFeed};
 use crate::partition::{hash_item, Partition, ShardRecord};
 use crate::report::EngineReport;
+use crate::round::{check_site, chunk_bounds, validate_feeds, Cut, RunAudit, ShardRound};
 use dsv_core::api::{ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
-use dsv_core::codec::{Dec, Enc, TrackerState};
-use dsv_net::{
-    relative_error, CommStats, ErrorProbe, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize,
-};
+use dsv_core::codec::{kind_tag, TrackerState};
+use dsv_net::{CommStats, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The counting-problem engine: shard replicas built by
 /// [`ShardedEngine::counters`] from any of the six counter kinds.
@@ -51,14 +48,7 @@ where
     R: ShardRecord<In = In>,
     In: Copy,
 {
-    if rec.site() >= k {
-        return Err(RunError::SiteOutOfRange {
-            site: rec.site(),
-            k,
-            time: rec.time(),
-        }
-        .into());
-    }
+    check_site(rec.site(), k, rec.time())?;
     let delta = rec.delta();
     if delta < 0 && !deletions_ok {
         return Err(RunError::DeletionUnsupported {
@@ -93,48 +83,49 @@ where
 }
 
 /// Route one batch into per-site run buffers (`shard == site`; valid
-/// whenever every shard owns at most one site). Returns the batch's
-/// ground-truth increment.
+/// whenever every shard owns at most one site), adding each record's
+/// delta to its buffer's entry in `sums`.
 fn fill_runs<R, In>(
     batch: &[R],
     k: usize,
     kind: TrackerKind,
     deletions_ok: bool,
     bufs: &mut [Vec<In>],
-) -> Result<i64, EngineError>
+    sums: &mut [i64],
+) -> Result<(), EngineError>
 where
     R: ShardRecord<In = In>,
     In: Copy,
 {
-    let mut df = 0i64;
     for rec in batch {
-        df += check_record(rec, k, kind, deletions_ok)?;
+        sums[rec.site()] += check_record(rec, k, kind, deletions_ok)?;
         bufs[rec.site()].push(rec.input());
     }
-    Ok(df)
+    Ok(())
 }
 
-/// Route one batch into per-shard mixed-site buffers (general layout).
-/// `lut` maps sites to shards for [`Partition::SiteAffine`] (computed
-/// once, so the hot loop carries no division); `rr` is the rotating
-/// cursor for [`Partition::RoundRobin`].
+/// Route one batch into per-shard mixed-site buffers (general layout),
+/// adding each record's delta to its shard's entry in `sums`. `lut` maps
+/// sites to shards for [`Partition::SiteAffine`] (computed once, so the
+/// hot loop carries no division); `rr` is the rotating cursor for
+/// [`Partition::RoundRobin`].
 #[allow(clippy::too_many_arguments)]
 fn fill_tuples<R, In>(
     batch: &[R],
     k: usize,
     kind: TrackerKind,
     deletions_ok: bool,
-    s_count: usize,
     partition: Partition,
     lut: &[u32],
     rr: &mut usize,
     bufs: &mut [Vec<(SiteId, In)>],
-) -> Result<i64, EngineError>
+    sums: &mut [i64],
+) -> Result<(), EngineError>
 where
     R: ShardRecord<In = In>,
     In: Copy,
 {
-    let mut df = 0i64;
+    let s_count = bufs.len();
     for rec in batch {
         let delta = check_record(rec, k, kind, deletions_ok)?;
         let site = rec.site();
@@ -153,73 +144,275 @@ where
                 None => return Err(EngineError::MissingItemKey { time: rec.time() }),
             },
         };
-        df += delta;
+        sums[shard] += delta;
         bufs[shard].push((site, rec.input()));
     }
-    Ok(df)
+    Ok(())
 }
 
-/// One feed drained by a pipelined worker: its queue's consumer end, a
-/// recycled round buffer, and whether the feed has delivered its final
-/// (short or empty) round.
-struct FeedState<In: Copy> {
-    consumer: RingConsumer<In>,
+/// Where a shard worker draws one feed's rounds from.
+trait RoundSource<In> {
+    /// The next round's inputs: `batch` of them, or fewer exactly once —
+    /// the feed's final (possibly empty) round.
+    fn next_round(&mut self, batch: usize) -> &[In];
+}
+
+/// A borrowed feed slice ([`ShardedEngine::run_parted`]): rounds are
+/// sub-slices cut by [`chunk_bounds`], so nothing is copied.
+struct SliceRounds<'a, In> {
+    inputs: &'a [In],
+    round: usize,
+}
+
+impl<In> RoundSource<In> for SliceRounds<'_, In> {
+    fn next_round(&mut self, batch: usize) -> &[In] {
+        let chunk = chunk_bounds(self.inputs.len(), batch, self.round)
+            .map_or(&[][..], |(lo, hi)| &self.inputs[lo..hi]);
+        self.round += 1;
+        chunk
+    }
+}
+
+/// A feed's bounded queue ([`ShardedEngine::run_pipelined`]): each round
+/// blocks until the producer delivers `batch` inputs or closes the feed,
+/// so a lagging feed stalls only the worker that drains it.
+struct RingRounds<In: Copy> {
+    ring: Arc<Ring<In>>,
     buf: Vec<In>,
+}
+
+impl<In: Copy> RoundSource<In> for RingRounds<In> {
+    fn next_round(&mut self, batch: usize) -> &[In] {
+        self.buf.clear();
+        self.ring.pop_round(&mut self.buf, batch);
+        &self.buf
+    }
+}
+
+/// One feed drained by a worker: its site, its round source, and whether
+/// it has delivered its final round.
+struct FeedRounds<Src> {
+    site: SiteId,
+    src: Src,
     done: bool,
 }
 
-/// One logical shard owned by a pipelined worker: its slot within the
-/// worker's replica group, its shard id, and its feeds in feed order.
-struct OwnedShard<In: Copy> {
+/// One logical shard owned by a worker: its slot within the worker's
+/// replica group, its shard id, and its feeds in feed order.
+struct OwnedShard<Src> {
     slot: usize,
     sid: usize,
-    feeds: Vec<FeedState<In>>,
+    feeds: Vec<FeedRounds<Src>>,
 }
 
-/// Run-local audit accumulator (per `run` call). Shared with the remote
-/// coordinator, which audits the same boundary cut over socket-delivered
-/// reports.
-pub(crate) struct RunAudit {
-    eps: f64,
-    probe_every: u64,
-    pub(crate) batches: u64,
-    pub(crate) violations: u64,
-    pub(crate) max_err: f64,
-    pub(crate) probes: Vec<ErrorProbe>,
-}
-
-impl RunAudit {
-    pub(crate) fn new(eps: f64, probe_every: u64) -> Self {
-        RunAudit {
-            eps,
-            probe_every,
-            batches: 0,
-            violations: 0,
-            max_err: 0.0,
-            probes: Vec::new(),
-        }
-    }
-
-    /// Audit one batch boundary: global truth `f` vs merged estimate.
-    pub(crate) fn boundary(&mut self, time: Time, f: i64, fhat: i64) {
-        self.batches += 1;
-        let err = relative_error(f, fhat);
-        if err > self.max_err {
-            self.max_err = err;
-        }
-        // Same float-slack convention as the sequential Driver.
-        if err > self.eps * (1.0 + 1e-12) {
-            self.violations += 1;
-        }
-        if self.probe_every > 0 && self.batches.is_multiple_of(self.probe_every) {
-            self.probes.push(ErrorProbe {
-                time,
-                f,
-                fhat,
-                rel_err: err,
+/// Group per-site feeds into worker lanes: feed `(site, src)` belongs to
+/// shard `site mod S`, owned by worker `shard mod W` at slot `shard / W`.
+/// Each lane lists its shards ascending; a shard keeps its feeds in feed
+/// order — the only order that reaches replica state.
+fn lanes<Src>(
+    feeds: impl IntoIterator<Item = (SiteId, Src)>,
+    s_count: usize,
+    w_count: usize,
+) -> Vec<Vec<OwnedShard<Src>>> {
+    let mut by_shard: BTreeMap<usize, Vec<FeedRounds<Src>>> = BTreeMap::new();
+    for (site, src) in feeds {
+        by_shard
+            .entry(site % s_count)
+            .or_default()
+            .push(FeedRounds {
+                site,
+                src,
+                done: false,
             });
+    }
+    let mut lanes: Vec<Vec<OwnedShard<Src>>> = (0..w_count).map(|_| Vec::new()).collect();
+    for (sid, feeds) in by_shard {
+        lanes[sid % w_count].push(OwnedShard {
+            slot: sid / w_count,
+            sid,
+            feeds,
+        });
+    }
+    lanes
+}
+
+/// The shard worker loop: round after round, drain every owned feed's
+/// next chunk into its shard's replica and hand the round's
+/// [`ShardRound`]s to `sink`, until a round finds every feed done (feed
+/// rounds are contiguous from 0, so the first all-empty round is the
+/// end) or `sink` returns `false`.
+fn worker_loop<T, In, Src>(
+    group: &mut [&mut T],
+    owned: &mut [OwnedShard<Src>],
+    batch: usize,
+    consolidate: bool,
+    mut sink: impl FnMut(u64, Vec<ShardRound>) -> bool,
+) where
+    T: Tracker<In> + ?Sized,
+    In: ConsolidateInput,
+    Src: RoundSource<In>,
+{
+    let mut scratch = consolidate.then(Consolidator::new);
+    for round in 0u64.. {
+        let mut reports = Vec::new();
+        for shard in owned.iter_mut() {
+            let tracker = &mut *group[shard.slot];
+            let mut report = ShardRound {
+                sid: shard.sid,
+                est: 0,
+                sum: 0,
+                len: 0,
+            };
+            for feed in shard.feeds.iter_mut().filter(|feed| !feed.done) {
+                let chunk = feed.src.next_round(batch);
+                feed.done = chunk.len() < batch;
+                if chunk.is_empty() {
+                    continue;
+                }
+                report.sum += chunk.iter().map(|x| x.delta_of()).sum::<i64>();
+                report.len += chunk.len() as u64;
+                report.est = ingest_run(tracker, feed.site, chunk, scratch.as_mut());
+            }
+            if report.len > 0 {
+                reports.push(report);
+            }
+        }
+        if reports.is_empty() || !sink(round, reports) {
+            return;
         }
     }
+}
+
+/// A worker's message to the watermark coordinator.
+enum CoordMsg {
+    /// The worker's reports for one round (rounds arrive in order).
+    Round {
+        worker: usize,
+        round: u64,
+        reports: Vec<ShardRound>,
+    },
+    /// The worker has reported its last round.
+    Done { worker: usize },
+}
+
+/// The watermark coordinator: collect every worker's rounds and fold
+/// each round once no worker can still report it. Worker messages arrive
+/// in round order per worker, so a round below every worker's watermark
+/// is complete.
+fn coordinate(
+    rx: mpsc::Receiver<CoordMsg>,
+    w_count: usize,
+    mut fold: impl FnMut(&mut [ShardRound]),
+) {
+    // next_watermark[w]: lowest round worker w might still report (MAX
+    // once done).
+    let mut next_watermark = vec![0u64; w_count];
+    let mut pending: BTreeMap<u64, Vec<ShardRound>> = BTreeMap::new();
+    let mut next_round = 0u64;
+    for msg in rx {
+        match msg {
+            CoordMsg::Round {
+                worker,
+                round,
+                reports,
+            } => {
+                pending.entry(round).or_default().extend(reports);
+                next_watermark[worker] = round + 1;
+            }
+            CoordMsg::Done { worker } => next_watermark[worker] = u64::MAX,
+        }
+        let ready = next_watermark.iter().copied().min().unwrap_or(u64::MAX);
+        while next_round < ready {
+            // Rounds are dense: no entry means every produced round is
+            // already folded.
+            let Some(mut reports) = pending.remove(&next_round) else {
+                break;
+            };
+            fold(&mut reports);
+            next_round += 1;
+        }
+    }
+}
+
+/// Run every worker lane to completion and fold each round at its
+/// boundary — the one round driver behind
+/// [`ShardedEngine::run_parted`] and [`ShardedEngine::run_pipelined`].
+///
+/// With one worker the loop's sink is the fold itself; with more, each
+/// lane runs on its own thread and the sinks feed [`coordinate`]. That
+/// driver runs on the calling thread — unless a `feeder` must run there
+/// (pipelined producers), in which case the driver gets a thread of its
+/// own and the feeder runs alongside it.
+fn drive_rounds<T, In, Src>(
+    shards: &mut [T],
+    cut: &mut Cut,
+    audit: &mut RunAudit,
+    cfg: &EngineConfig,
+    lanes: Vec<Vec<OwnedShard<Src>>>,
+    feeder: Option<impl FnOnce()>,
+) where
+    T: Tracker<In> + Send,
+    In: ConsolidateInput + Send,
+    Src: RoundSource<In> + Send,
+{
+    let w_count = lanes.len();
+    let batch = cfg.batch_size();
+    let consolidate = cfg.consolidate_enabled();
+    let mut groups: Vec<Vec<&mut T>> = (0..w_count).map(|_| Vec::new()).collect();
+    for (sid, tracker) in shards.iter_mut().enumerate() {
+        groups[sid % w_count].push(tracker);
+    }
+    std::thread::scope(|scope| {
+        let driver = move || {
+            let mut fold = |reports: &mut [ShardRound]| cut.fold(audit, reports);
+            let mut work = groups.into_iter().zip(lanes);
+            if w_count == 1 {
+                let (mut group, mut owned) = work.next().expect("one lane");
+                worker_loop(
+                    &mut group,
+                    &mut owned,
+                    batch,
+                    consolidate,
+                    |_, mut reports| {
+                        fold(&mut reports);
+                        true
+                    },
+                );
+                return;
+            }
+            let (tx, rx) = mpsc::channel::<CoordMsg>();
+            for (worker, (mut group, mut owned)) in work.enumerate() {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    worker_loop(
+                        &mut group,
+                        &mut owned,
+                        batch,
+                        consolidate,
+                        |round, reports| {
+                            tx.send(CoordMsg::Round {
+                                worker,
+                                round,
+                                reports,
+                            })
+                            .is_ok()
+                        },
+                    );
+                    let _ = tx.send(CoordMsg::Done { worker });
+                });
+            }
+            drop(tx);
+            coordinate(rx, w_count, fold);
+        };
+        match feeder {
+            None => driver(),
+            Some(feed) => {
+                let driver = scope.spawn(driver);
+                feed();
+                driver.join().expect("engine round driver panicked");
+            }
+        }
+    });
 }
 
 /// A batched, sharded runner over `S` tracker replicas.
@@ -245,7 +438,10 @@ impl RunAudit {
 pub struct ShardedEngine<T, In: Copy = i64> {
     shards: Vec<T>,
     cfg: EngineConfig,
-    coord: MergeCoordinator,
+    /// The merged estimate, consumed time, ground truth, and the inputs
+    /// each shard consumed since [`checkpoint`](Self::checkpoint) last
+    /// captured it (the dirty-shard skip).
+    cut: Cut,
     /// Snapshot traffic ([`StateFrame`]s), charged per checkpoint.
     /// Separate from the tracker and merge ledgers so checkpointing never
     /// perturbs the ledgers the resume-equivalence guarantee covers.
@@ -256,21 +452,9 @@ pub struct ShardedEngine<T, In: Copy = i64> {
     /// `ckpt_stats`: the transport must not perturb the ledgers the
     /// pipelined-equivalence guarantee is stated over.
     ingest_stats: IngestStats,
-    /// Inputs dispatched to each shard since its state was last captured
-    /// by [`checkpoint`](Self::checkpoint). Tracker state is a pure
-    /// function of the inputs a replica has consumed, so a zero counter
-    /// proves the shard's snapshot is unchanged — the dirty-shard skip
-    /// that keeps a periodic checkpoint sink from reserializing (and
-    /// re-charging) quiet shards every period. Counting *inputs* rather
-    /// than watching the quiet ledger is deliberate: trackers mutate
-    /// internal state (round counters, samplers) without sending
-    /// messages, so "ledger unchanged" would under-approximate dirtiness.
-    shard_inputs: Vec<u64>,
     /// Each shard's serialized state as of its last checkpoint capture
     /// (`None` until first captured). Reused verbatim for clean shards.
     ckpt_cache: Vec<Option<TrackerState>>,
-    time: Time,
-    f: i64,
     _in: PhantomData<fn(In) -> In>,
 }
 
@@ -282,8 +466,9 @@ where
     /// Build an engine whose shard replica `s` is produced by `make(s)`.
     ///
     /// All replicas must agree on kind and site count (they track shards
-    /// of one logical stream); [`TrackerSpec::shard`] is the intended way
-    /// to derive per-shard specs.
+    /// of one logical stream) — [`EngineError::ReplicaMismatch`]
+    /// otherwise; [`TrackerSpec::shard`] is the intended way to derive
+    /// per-shard specs.
     pub fn with_factory<E>(
         cfg: EngineConfig,
         mut make: impl FnMut(usize) -> Result<T, E>,
@@ -296,22 +481,33 @@ where
         for s in 0..cfg.shards_count() {
             shards.push(make(s).map_err(EngineError::from)?);
         }
-        let kind = shards[0].kind();
-        let k = shards[0].k();
-        assert!(
-            shards.iter().all(|t| t.kind() == kind && t.k() == k),
-            "shard replicas must agree on kind and site count"
-        );
+        let (kind, k) = (shards[0].kind(), shards[0].k());
+        for (shard, t) in shards.iter().enumerate() {
+            let (what, expected, found) = if t.kind() != kind {
+                (
+                    "tracker kind tag",
+                    kind_tag(kind) as u64,
+                    kind_tag(t.kind()) as u64,
+                )
+            } else if t.k() != k {
+                ("site count", k as u64, t.k() as u64)
+            } else {
+                continue;
+            };
+            return Err(EngineError::ReplicaMismatch {
+                shard,
+                what,
+                expected,
+                found,
+            });
+        }
         Ok(ShardedEngine {
-            coord: MergeCoordinator::new(cfg.shards_count()),
+            cut: Cut::new(cfg.shards_count()),
             shards,
             ckpt_stats: CommStats::new(),
             ingest_stats: IngestStats::new(),
-            shard_inputs: vec![0; cfg.shards_count()],
             ckpt_cache: vec![None; cfg.shards_count()],
             cfg,
-            time: 0,
-            f: 0,
             _in: PhantomData,
         })
     }
@@ -344,18 +540,14 @@ where
         if engine.kind() != ckpt.kind() {
             return Err(EngineError::CheckpointMismatch {
                 what: "tracker kind tag",
-                expected: dsv_core::codec::kind_tag(engine.kind()) as u64,
-                found: dsv_core::codec::kind_tag(ckpt.kind()) as u64,
+                expected: kind_tag(engine.kind()) as u64,
+                found: kind_tag(ckpt.kind()) as u64,
             });
         }
         for (tracker, state) in engine.shards.iter_mut().zip(ckpt.states()) {
             tracker.restore(state)?;
         }
-        let mut dec = Dec::new(ckpt.merge());
-        engine.coord.load_state(&mut dec)?;
-        dec.finish()?;
-        engine.time = ckpt.time();
-        engine.f = ckpt.f();
+        engine.cut.restore(ckpt)?;
         Ok(engine)
     }
 
@@ -371,12 +563,12 @@ where
 
     /// Updates consumed so far (across all `run` calls).
     pub fn time(&self) -> Time {
-        self.time
+        self.cut.time
     }
 
     /// The coordinator-side global estimate `f̂ = Σ_s f̂_s`.
     pub fn estimate(&self) -> i64 {
-        self.coord.estimate()
+        self.cut.merge.estimate()
     }
 
     /// Current per-shard local estimates (diagnostics).
@@ -395,7 +587,7 @@ where
 
     /// Engine-level shard → coordinator reconciliation traffic.
     pub fn merge_stats(&self) -> &CommStats {
-        self.coord.stats()
+        self.cut.merge.stats()
     }
 
     /// Snapshot traffic charged by [`checkpoint`](Self::checkpoint) calls
@@ -429,7 +621,7 @@ where
     pub fn checkpoint(&mut self) -> Result<EngineCheckpoint, EngineError> {
         let mut states = Vec::with_capacity(self.shards.len());
         for (sid, tracker) in self.shards.iter().enumerate() {
-            if self.shard_inputs[sid] == 0 {
+            if self.cut.dirty[sid] == 0 {
                 if let Some(cached) = &self.ckpt_cache[sid] {
                     states.push(cached.clone());
                     continue;
@@ -439,19 +631,10 @@ where
             let frame = StateFrame::for_payload(sid, state.payload().len());
             self.ckpt_stats.charge(MsgKind::Up, frame.words());
             self.ckpt_cache[sid] = Some(state.clone());
-            self.shard_inputs[sid] = 0;
+            self.cut.dirty[sid] = 0;
             states.push(state);
         }
-        let mut merge = Enc::new();
-        self.coord.save_state(&mut merge);
-        Ok(EngineCheckpoint::new(
-            self.kind(),
-            self.shards[0].k(),
-            self.time,
-            self.f,
-            merge.into_bytes(),
-            states,
-        ))
+        Ok(self.cut.checkpoint(self.kind(), self.shards[0].k(), states))
     }
 
     /// Capture a checkpoint (see [`checkpoint`](Self::checkpoint)) and
@@ -497,7 +680,6 @@ where
         R: ShardRecord<In = In>,
         In: ConsolidateInput,
     {
-        let started = Instant::now();
         let cfg = self.cfg;
         let s_count = cfg.shards_count();
         let w_count = cfg.workers_count();
@@ -529,17 +711,37 @@ where
         } else {
             Vec::new()
         };
-        let mut rr = (self.time % s_count as u64) as usize;
+        let mut rr = (self.cut.time % s_count as u64) as usize;
+        // Each buffer's Σδ for the batch being routed (`shard == site` in
+        // the run layout), and the batch's reports for the fold.
+        let mut sums = vec![0i64; s_count];
+        let mut reports: Vec<ShardRound> = Vec::with_capacity(s_count);
+        let mut route = |batch: &[R],
+                         run_bufs: &mut [Vec<In>],
+                         tup_bufs: &mut [Vec<(SiteId, In)>],
+                         sums: &mut [i64]| {
+            if use_runs {
+                fill_runs(batch, k, kind, deletions_ok, run_bufs, sums)
+            } else {
+                fill_tuples(
+                    batch,
+                    k,
+                    kind,
+                    deletions_ok,
+                    partition,
+                    &lut,
+                    &mut rr,
+                    tup_bufs,
+                    sums,
+                )
+            }
+        };
 
-        let mut audit = RunAudit::new(cfg.eps_value(), cfg.probe_period());
-
+        let mut audit = RunAudit::start(&cfg, &self.cut);
         // Split borrows so worker threads can own `&mut` replicas while
         // the main thread plays coordinator.
         let shards = &mut self.shards;
-        let coord = &mut self.coord;
-        let time = &mut self.time;
-        let f = &mut self.f;
-        let shard_inputs = &mut self.shard_inputs;
+        let cut = &mut self.cut;
 
         if w_count == 1 {
             // One worker (any shard count): batched, but inline — no
@@ -547,46 +749,33 @@ where
             // path, since replica state never depends on worker placement.
             let mut scratch = cfg.consolidate_enabled().then(Consolidator::new);
             for batch in stream.chunks(cfg.batch_size()) {
-                let df = if use_runs {
-                    fill_runs(batch, k, kind, deletions_ok, &mut run_bufs)?
-                } else {
-                    fill_tuples(
-                        batch,
-                        k,
-                        kind,
-                        deletions_ok,
-                        s_count,
-                        partition,
-                        &lut,
-                        &mut rr,
-                        &mut tup_bufs,
-                    )?
-                };
-                *time += batch.len() as Time;
-                *f += df;
-                if use_runs {
-                    // shard == site in this layout.
-                    for (site, buf) in run_bufs.iter_mut().enumerate() {
-                        if buf.is_empty() {
-                            continue;
-                        }
-                        shard_inputs[site] += buf.len() as u64;
-                        let est = ingest_run(&mut shards[site], site, buf, scratch.as_mut());
+                route(batch, &mut run_bufs, &mut tup_bufs, &mut sums)?;
+                for (sid, buf) in run_bufs.iter_mut().enumerate() {
+                    if !buf.is_empty() {
+                        let est = ingest_run(&mut shards[sid], sid, buf, scratch.as_mut());
+                        reports.push(ShardRound {
+                            sid,
+                            est,
+                            sum: sums[sid],
+                            len: buf.len() as u64,
+                        });
                         buf.clear();
-                        coord.absorb(site, est);
-                    }
-                } else {
-                    for (sid, buf) in tup_bufs.iter_mut().enumerate() {
-                        if buf.is_empty() {
-                            continue;
-                        }
-                        shard_inputs[sid] += buf.len() as u64;
-                        let est = shards[sid].update_batch(buf);
-                        buf.clear();
-                        coord.absorb(sid, est);
                     }
                 }
-                audit.boundary(*time, *f, coord.estimate());
+                for (sid, buf) in tup_bufs.iter_mut().enumerate() {
+                    if !buf.is_empty() {
+                        reports.push(ShardRound {
+                            sid,
+                            est: shards[sid].update_batch(buf),
+                            sum: sums[sid],
+                            len: buf.len() as u64,
+                        });
+                        buf.clear();
+                    }
+                }
+                sums.fill(0);
+                cut.fold(&mut audit, &mut reports);
+                reports.clear();
             }
         } else {
             std::thread::scope(|scope| -> Result<(), EngineError> {
@@ -626,23 +815,7 @@ where
                 drop(res_tx);
 
                 for batch in stream.chunks(cfg.batch_size()) {
-                    let df = if use_runs {
-                        fill_runs(batch, k, kind, deletions_ok, &mut run_bufs)?
-                    } else {
-                        fill_tuples(
-                            batch,
-                            k,
-                            kind,
-                            deletions_ok,
-                            s_count,
-                            partition,
-                            &lut,
-                            &mut rr,
-                            &mut tup_bufs,
-                        )?
-                    };
-                    *time += batch.len() as Time;
-                    *f += df;
+                    route(batch, &mut run_bufs, &mut tup_bufs, &mut sums)?;
                     let mut outstanding = 0;
                     for sid in 0..s_count {
                         let work = if use_runs {
@@ -656,10 +829,6 @@ where
                             }
                             WorkBuf::Batch(std::mem::take(&mut tup_bufs[sid]))
                         };
-                        shard_inputs[sid] += match &work {
-                            WorkBuf::Run(_, buf) => buf.len() as u64,
-                            WorkBuf::Batch(buf) => buf.len() as u64,
-                        };
                         work_txs[sid % w_count]
                             .send((sid / w_count, work))
                             .expect("shard worker died");
@@ -667,29 +836,37 @@ where
                     }
                     for _ in 0..outstanding {
                         let (sid, est, work) = res_rx.recv().expect("shard worker died");
-                        match work {
-                            // Recycle the allocation for the next batch.
+                        // Recycle the allocation for the next batch.
+                        let len = match work {
                             WorkBuf::Run(_, mut buf) => {
+                                let len = buf.len();
                                 buf.clear();
                                 run_bufs[sid] = buf;
+                                len
                             }
                             WorkBuf::Batch(mut buf) => {
+                                let len = buf.len();
                                 buf.clear();
                                 tup_bufs[sid] = buf;
+                                len
                             }
-                        }
-                        coord.absorb(sid, est);
+                        };
+                        reports.push(ShardRound {
+                            sid,
+                            est,
+                            sum: sums[sid],
+                            len: len as u64,
+                        });
                     }
-                    // Shards without updates this batch are covered by the
-                    // coordinator's cached last report, which is still
-                    // exact — the delta-reporting merge rule.
-                    audit.boundary(*time, *f, coord.estimate());
+                    sums.fill(0);
+                    cut.fold(&mut audit, &mut reports);
+                    reports.clear();
                 }
                 Ok(())
             })?;
         }
 
-        Ok(self.finish_report(stream.len() as u64, audit, started))
+        Ok(self.finish_report(audit))
     }
 
     /// Ingest pre-parted per-site feeds — the shape a deployed system
@@ -710,154 +887,22 @@ where
     where
         In: ConsolidateInput + Sync,
     {
-        let started = Instant::now();
-        let cfg = self.cfg;
-        let s_count = cfg.shards_count();
-        let w_count = cfg.workers_count();
-        let kind = self.shards[0].kind();
-        let k = self.shards[0].k();
-        let deletions_ok = kind.supports_deletions();
-        let batch = cfg.batch_size();
-
-        // Validate before anything runs: sites in range, and insert-only
-        // kinds reject feeds containing deletions.
-        for &(site, inputs) in feeds {
-            if site >= k {
-                return Err(RunError::SiteOutOfRange {
-                    site,
-                    k,
-                    time: self.time,
-                }
-                .into());
-            }
-            if !deletions_ok {
-                if let Some(pos) = inputs.iter().position(|&x| x.delta_of() < 0) {
-                    return Err(RunError::DeletionUnsupported {
-                        kind,
-                        time: self.time + pos as Time + 1,
-                    }
-                    .into());
-                }
-            }
-        }
-
-        let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
-        let rounds = feeds
+        // Validate before anything runs.
+        validate_feeds(feeds, self.shards[0].k(), self.kind(), self.cut.time)?;
+        let sources = feeds
             .iter()
-            .map(|(_, inputs)| inputs.len().div_ceil(batch))
-            .max()
-            .unwrap_or(0);
-        let mut audit = RunAudit::new(cfg.eps_value(), cfg.probe_period());
-
-        let shards = &mut self.shards;
-        let coord = &mut self.coord;
-        let time = &mut self.time;
-        let f = &mut self.f;
-        let shard_inputs = &mut self.shard_inputs;
-
-        let chunk_of = |inputs: &'_ [In], round: usize| {
-            let lo = (round * batch).min(inputs.len());
-            let hi = ((round + 1) * batch).min(inputs.len());
-            (lo, hi)
-        };
-
-        if w_count == 1 {
-            // Absorb once per shard per round (the shard's end-of-round
-            // estimate), exactly like the threaded path — worker count
-            // must never show in the merge ledger.
-            let mut scratch = cfg.consolidate_enabled().then(Consolidator::new);
-            let mut finals: Vec<Option<i64>> = vec![None; s_count];
-            for round in 0..rounds {
-                for &(site, inputs) in feeds {
-                    let (lo, hi) = chunk_of(inputs, round);
-                    if lo == hi {
-                        continue;
-                    }
-                    let chunk = &inputs[lo..hi];
-                    let sum: i64 = chunk.iter().map(|x| x.delta_of()).sum();
-                    let sid = site % s_count;
-                    shard_inputs[sid] += chunk.len() as u64;
-                    let est = ingest_run(&mut shards[sid], site, chunk, scratch.as_mut());
-                    *time += chunk.len() as Time;
-                    *f += sum;
-                    finals[sid] = Some(est);
-                }
-                for (sid, est) in finals.iter_mut().enumerate() {
-                    if let Some(e) = est.take() {
-                        coord.absorb(sid, e);
-                    }
-                }
-                audit.boundary(*time, *f, coord.estimate());
-            }
-        } else {
-            std::thread::scope(|scope| {
-                // Work items are (group slot, feed, lo, hi) index tuples;
-                // workers resolve them against the shared feed slices, so
-                // nothing is copied on this path.
-                let (res_tx, res_rx) = mpsc::channel::<(usize, i64, i64, usize)>();
-                let mut groups: Vec<Vec<&mut T>> = (0..w_count).map(|_| Vec::new()).collect();
-                for (sid, tracker) in shards.iter_mut().enumerate() {
-                    groups[sid % w_count].push(tracker);
-                }
-                let mut work_txs = Vec::with_capacity(w_count);
-                let consolidate = cfg.consolidate_enabled();
-                for (w, mut group) in groups.into_iter().enumerate() {
-                    let bound = feeds.len().max(1);
-                    let (tx, rx) = mpsc::sync_channel::<(usize, usize, usize, usize)>(bound);
-                    let res_tx = res_tx.clone();
-                    work_txs.push(tx);
-                    scope.spawn(move || {
-                        let mut scratch = consolidate.then(Consolidator::new);
-                        while let Ok((slot, feed, lo, hi)) = rx.recv() {
-                            let (site, inputs) = feeds[feed];
-                            let chunk = &inputs[lo..hi];
-                            let sum: i64 = chunk.iter().map(|x| x.delta_of()).sum();
-                            let tracker = &mut *group[slot];
-                            let est = ingest_run(tracker, site, chunk, scratch.as_mut());
-                            let sid = slot * w_count + w;
-                            if res_tx.send((sid, est, sum, chunk.len())).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(res_tx);
-
-                let mut finals: Vec<Option<i64>> = vec![None; s_count];
-                for round in 0..rounds {
-                    let mut outstanding = 0;
-                    for (feed, &(site, inputs)) in feeds.iter().enumerate() {
-                        let (lo, hi) = chunk_of(inputs, round);
-                        if lo == hi {
-                            continue;
-                        }
-                        let sid = site % s_count;
-                        shard_inputs[sid] += (hi - lo) as u64;
-                        work_txs[sid % w_count]
-                            .send((sid / w_count, feed, lo, hi))
-                            .expect("shard worker died");
-                        outstanding += 1;
-                    }
-                    for _ in 0..outstanding {
-                        let (sid, est, sum, len) = res_rx.recv().expect("shard worker died");
-                        *f += sum;
-                        *time += len as Time;
-                        // Per-worker FIFO means the last estimate received
-                        // per shard is its end-of-round state; absorbing
-                        // only that keeps merge accounting once-per-shard.
-                        finals[sid] = Some(est);
-                    }
-                    for (sid, est) in finals.iter_mut().enumerate() {
-                        if let Some(e) = est.take() {
-                            coord.absorb(sid, e);
-                        }
-                    }
-                    audit.boundary(*time, *f, coord.estimate());
-                }
-            });
-        }
-
-        Ok(self.finish_report(total as u64, audit, started))
+            .map(|&(site, inputs)| (site, SliceRounds { inputs, round: 0 }));
+        let lanes = lanes(sources, self.cfg.shards_count(), self.cfg.workers_count());
+        let mut audit = RunAudit::start(&self.cfg, &self.cut);
+        drive_rounds(
+            &mut self.shards,
+            &mut self.cut,
+            &mut audit,
+            &self.cfg,
+            lanes,
+            None::<fn()>,
+        );
+        Ok(self.finish_report(audit))
     }
 
     /// Ingest through the pipelined path: per-feed bounded queues,
@@ -880,8 +925,9 @@ where
     /// tracker + merge [`CommStats`] ledgers are **bit-identical** to
     /// [`run_parted`](Self::run_parted) over the same feeds — the
     /// boundary cut is the same (rounds of [`EngineConfig::batch_size`]
-    /// inputs per feed), only the execution overlaps. What pipelining
-    /// adds is charged to the separate [`ingest_stats`](Self::ingest_stats)
+    /// inputs per feed), and so is the worker loop; only the round source
+    /// differs (a queue instead of a slice). What pipelining adds is
+    /// charged to the separate [`ingest_stats`](Self::ingest_stats)
     /// ledger. The divergence is error *timing*: `run_parted` validates
     /// whole feeds before running anything, while a pipelined feed is
     /// validated at the push boundary ([`crate::FeedError`]) — inputs
@@ -902,24 +948,12 @@ where
         In: ConsolidateInput + Send + Sync,
         F: FnOnce(Vec<ShardFeed<In>>),
     {
-        let started = Instant::now();
         let cfg = self.cfg;
         let s_count = cfg.shards_count();
-        let w_count = cfg.workers_count();
-        let kind = self.shards[0].kind();
         let k = self.shards[0].k();
-        let deletions_ok = kind.supports_deletions();
-        let batch = cfg.batch_size();
-
+        let deletions_ok = self.kind().supports_deletions();
         for &site in sites {
-            if site >= k {
-                return Err(RunError::SiteOutOfRange {
-                    site,
-                    k,
-                    time: self.time,
-                }
-                .into());
-            }
+            check_site(site, k, self.cut.time)?;
         }
 
         // One bounded SPSC ring per feed; producer ends become the
@@ -928,226 +962,62 @@ where
             .iter()
             .map(|_| Arc::new(Ring::new(cfg.queue_capacity_value())))
             .collect();
-        let mut handles = Vec::with_capacity(sites.len());
-        // Worker w owns shards s ≡ w (mod W); within a shard, feeds keep
-        // their index order (the order run_parted processes them in).
-        let mut consumers: Vec<BTreeMap<usize, Vec<RingConsumer<In>>>> =
-            (0..w_count).map(|_| BTreeMap::new()).collect();
-        for (feed, (&site, ring)) in sites.iter().zip(&rings).enumerate() {
-            let shard = site % s_count;
-            handles.push(ShardFeed::new(
-                Arc::clone(ring),
-                feed,
-                site,
-                shard,
-                cfg.backpressure_policy(),
-                deletions_ok,
-            ));
-            consumers[shard % w_count]
-                .entry(shard)
-                .or_default()
-                .push(RingConsumer {
-                    ring: Arc::clone(ring),
+        let handles: Vec<ShardFeed<In>> = sites
+            .iter()
+            .zip(&rings)
+            .enumerate()
+            .map(|(feed, (&site, ring))| {
+                ShardFeed::new(
+                    Arc::clone(ring),
+                    feed,
                     site,
-                });
-        }
-
-        let mut audit = RunAudit::new(cfg.eps_value(), cfg.probe_period());
-
-        let shards = &mut self.shards;
-        let coord = &mut self.coord;
-        let time = &mut self.time;
-        let f = &mut self.f;
-        let shard_inputs = &mut self.shard_inputs;
-
-        /// A worker's end-of-round message: per owned shard with work
-        /// this round, `(shard, end-of-round estimate, Σ delta, inputs)`.
-        enum CoordMsg {
-            Round {
-                worker: usize,
-                round: u64,
-                reports: Vec<(usize, i64, i64, u64)>,
-            },
-            Done {
-                worker: usize,
-            },
-        }
-
-        let n_total = std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<CoordMsg>();
-            let mut groups: Vec<Vec<&mut T>> = (0..w_count).map(|_| Vec::new()).collect();
-            for (sid, tracker) in shards.iter_mut().enumerate() {
-                groups[sid % w_count].push(tracker);
-            }
-
-            let consolidate = cfg.consolidate_enabled();
-            for ((w, mut group), shard_feeds) in groups.into_iter().enumerate().zip(consumers) {
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    let mut scratch = consolidate.then(Consolidator::new);
-                    // The worker's shards with feeds, ascending sid.
-                    let mut owned: Vec<OwnedShard<In>> = shard_feeds
-                        .into_iter()
-                        .map(|(sid, feeds)| OwnedShard {
-                            slot: sid / w_count,
-                            sid,
-                            feeds: feeds
-                                .into_iter()
-                                .map(|consumer| FeedState {
-                                    consumer,
-                                    buf: Vec::with_capacity(batch),
-                                    done: false,
-                                })
-                                .collect(),
-                        })
-                        .collect();
-                    let mut round = 0u64;
-                    loop {
-                        let mut reports = Vec::new();
-                        for shard in owned.iter_mut() {
-                            let mut sum = 0i64;
-                            let mut len = 0u64;
-                            let mut est = 0i64;
-                            let mut any = false;
-                            for fs in shard.feeds.iter_mut() {
-                                if fs.done {
-                                    continue;
-                                }
-                                fs.buf.clear();
-                                // Blocks until the feed delivers this
-                                // round's inputs or closes — a lagging
-                                // feed stalls only this worker.
-                                fs.consumer.pop_round(&mut fs.buf, batch);
-                                if fs.buf.len() < batch {
-                                    fs.done = true;
-                                }
-                                if fs.buf.is_empty() {
-                                    continue;
-                                }
-                                sum += fs.buf.iter().map(|x| x.delta_of()).sum::<i64>();
-                                len += fs.buf.len() as u64;
-                                est = ingest_run(
-                                    &mut *group[shard.slot],
-                                    fs.consumer.site,
-                                    &fs.buf,
-                                    scratch.as_mut(),
-                                );
-                                any = true;
-                            }
-                            if any {
-                                reports.push((shard.sid, est, sum, len));
-                            }
-                        }
-                        // Feed rounds are contiguous from 0, so the first
-                        // all-empty round means every owned feed is done.
-                        if reports.is_empty() {
-                            let _ = res_tx.send(CoordMsg::Done { worker: w });
-                            break;
-                        }
-                        if res_tx
-                            .send(CoordMsg::Round {
-                                worker: w,
-                                round,
-                                reports,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                        round += 1;
-                    }
-                });
-            }
-            drop(res_tx);
-
-            // The coordinator: runs on its own scoped thread so merging
-            // boundary r overlaps the workers' ingestion of r+1.
-            let audit_ref = &mut audit;
-            let coordinator = scope.spawn(move || {
-                let mut n: u64 = 0;
-                // next_watermark[w]: lowest round worker w might still
-                // report (MAX once done). Worker messages arrive in round
-                // order per worker, so a round below every watermark is
-                // complete and can be reconciled.
-                let mut next_watermark = vec![0u64; w_count];
-                let mut pending: BTreeMap<u64, Vec<(usize, i64, i64, u64)>> = BTreeMap::new();
-                let mut next_round = 0u64;
-                for msg in res_rx {
-                    match msg {
-                        CoordMsg::Round {
-                            worker,
-                            round,
-                            reports,
-                        } => {
-                            pending.entry(round).or_default().extend(reports);
-                            next_watermark[worker] = round + 1;
-                        }
-                        CoordMsg::Done { worker } => {
-                            next_watermark[worker] = u64::MAX;
-                        }
-                    }
-                    let ready = next_watermark.iter().copied().min().unwrap_or(u64::MAX);
-                    while next_round < ready {
-                        let Some(mut reports) = pending.remove(&next_round) else {
-                            // Rounds are dense: no entry means every
-                            // produced round is already reconciled.
-                            break;
-                        };
-                        // Same per-boundary order as run_parted: fold the
-                        // ground truth, then absorb shard estimates in
-                        // shard order, then audit the boundary.
-                        reports.sort_unstable_by_key(|&(sid, ..)| sid);
-                        for &(sid, _, sum, len) in &reports {
-                            *f += sum;
-                            *time += len as Time;
-                            shard_inputs[sid] += len;
-                            n += len;
-                        }
-                        for &(sid, est, ..) in &reports {
-                            coord.absorb(sid, est);
-                        }
-                        audit_ref.boundary(*time, *f, coord.estimate());
-                        next_round += 1;
-                    }
-                }
-                n
-            });
-
-            feeder(handles);
-            // The feeder has returned: force-close every ring so stashed
-            // or leaked handles cannot wedge the workers.
-            for ring in &rings {
-                ring.close();
-            }
-            coordinator.join().expect("engine coordinator panicked")
+                    site % s_count,
+                    cfg.backpressure_policy(),
+                    deletions_ok,
+                )
+            })
+            .collect();
+        let sources = sites.iter().zip(&rings).map(|(&site, ring)| {
+            let src = RingRounds {
+                ring: Arc::clone(ring),
+                buf: Vec::with_capacity(cfg.batch_size()),
+            };
+            (site, src)
         });
+        let lanes = lanes(sources, s_count, cfg.workers_count());
 
+        let mut audit = RunAudit::start(&cfg, &self.cut);
+        drive_rounds(
+            &mut self.shards,
+            &mut self.cut,
+            &mut audit,
+            &cfg,
+            lanes,
+            Some(|| {
+                feeder(handles);
+                // The feeder has returned: force-close every ring so
+                // stashed or leaked handles cannot wedge the workers.
+                for ring in &rings {
+                    ring.close();
+                }
+            }),
+        );
         for ring in &rings {
             ring.drain_stats(&mut self.ingest_stats);
         }
-
-        Ok(self.finish_report(n_total, audit, started))
+        Ok(self.finish_report(audit))
     }
 
     /// Assemble the report shared by the ingestion paths (all execution
     /// borrows have ended by the time this runs).
-    fn finish_report(&self, n: u64, audit: RunAudit, started: Instant) -> EngineReport {
-        EngineReport {
-            n,
-            batches: audit.batches,
-            shards: self.cfg.shards_count(),
-            workers: self.cfg.workers_count(),
-            batch_size: self.cfg.batch_size(),
-            final_f: self.f,
-            final_estimate: self.coord.estimate(),
-            boundary_violations: audit.violations,
-            max_boundary_rel_err: audit.max_err,
-            tracker_stats: self.tracker_stats(),
-            merge_stats: self.coord.stats().clone(),
-            ingest_stats: self.ingest_stats.clone(),
-            probes: audit.probes,
-            elapsed: started.elapsed(),
-        }
+    fn finish_report(&self, audit: RunAudit) -> EngineReport {
+        self.cut.finish(
+            audit,
+            &self.cfg,
+            self.cfg.workers_count(),
+            self.tracker_stats(),
+            self.ingest_stats.clone(),
+        )
     }
 }
 
@@ -1214,7 +1084,7 @@ mod tests {
     use super::*;
     use dsv_core::api::{Driver, TrackerSpec};
     use dsv_gen::{DeltaGen, ItemStreamGen, MonotoneGen, RoundRobin, WalkGen};
-    use dsv_net::{ItemUpdate, Update};
+    use dsv_net::{relative_error, ItemUpdate, Update};
 
     fn det_spec(k: usize) -> TrackerSpec {
         TrackerSpec::new(TrackerKind::Deterministic)
@@ -1367,6 +1237,189 @@ mod tests {
         )
         .unwrap();
         assert!(engine.run(&[ItemUpdate::new(1, 0, 5, 1)]).is_ok());
+    }
+
+    #[test]
+    fn slice_rounds_end_with_exactly_one_short_round() {
+        let inputs = [1i64; 8];
+        let mut exact = SliceRounds {
+            inputs: &inputs,
+            round: 0,
+        };
+        let lens: Vec<usize> = (0..4).map(|_| exact.next_round(4).len()).collect();
+        assert_eq!(lens, [4, 4, 0, 0]);
+        let mut ragged = SliceRounds {
+            inputs: &inputs[..5],
+            round: 0,
+        };
+        let lens: Vec<usize> = (0..3).map(|_| ragged.next_round(4).len()).collect();
+        assert_eq!(lens, [4, 1, 0]);
+    }
+
+    #[test]
+    fn worker_loop_ends_at_the_first_empty_round_or_a_refusing_sink() {
+        let (long, short) = ([1i64; 8], [-1i64; 3]);
+        let run = |stop_after: usize| {
+            let mut tracker = TrackerSpec::new(TrackerKind::Naive).k(2).build().unwrap();
+            let mut owned = lanes(
+                [
+                    (
+                        0,
+                        SliceRounds {
+                            inputs: &long[..],
+                            round: 0,
+                        },
+                    ),
+                    (
+                        1,
+                        SliceRounds {
+                            inputs: &short[..],
+                            round: 0,
+                        },
+                    ),
+                ],
+                1,
+                1,
+            );
+            let mut rounds = Vec::new();
+            worker_loop(&mut [&mut tracker], &mut owned[0], 4, false, |round, r| {
+                rounds.push((round, r[0].sum, r[0].len, r[0].est));
+                rounds.len() < stop_after
+            });
+            rounds
+        };
+        // Round 0 takes 4 + 3 inputs (the short feed ends), round 1 the
+        // long feed's last 4; round 2 is all-empty and ends the loop.
+        assert_eq!(run(usize::MAX), [(0, 1, 7, 1), (1, 4, 4, 5)]);
+        assert_eq!(run(1), [(0, 1, 7, 1)]);
+    }
+
+    #[test]
+    fn lanes_group_feeds_by_shard_and_worker() {
+        // S = 4, W = 2: shards 0, 2 on worker 0 (slots 0, 1), shards 1, 3
+        // on worker 1. Feeds keep their order within a shard.
+        let feeds = [(2, 'a'), (0, 'b'), (6, 'c'), (5, 'd'), (2, 'e')];
+        let grouped = lanes(feeds, 4, 2);
+        let view: Vec<Vec<_>> = grouped
+            .iter()
+            .map(|lane| {
+                lane.iter()
+                    .map(|o| {
+                        let feeds = o.feeds.iter().map(|f| (f.site, f.src)).collect();
+                        (o.sid, o.slot, feeds)
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            view,
+            vec![
+                vec![
+                    (0, 0, vec![(0, 'b')]),
+                    (2, 1, vec![(2, 'a'), (6, 'c'), (2, 'e')])
+                ],
+                vec![(1, 0, vec![(5, 'd')])],
+            ]
+        );
+        // A worker without feeds gets an empty lane, not a missing one.
+        assert_eq!(
+            lanes([(0, ())], 4, 3)
+                .iter()
+                .map(Vec::len)
+                .collect::<Vec<_>>(),
+            [1, 0, 0]
+        );
+    }
+
+    #[test]
+    fn watermark_coordinator_folds_rounds_in_order_across_workers() {
+        let report = |sid, len| ShardRound {
+            sid,
+            est: 0,
+            sum: 0,
+            len,
+        };
+        let (tx, rx) = mpsc::channel();
+        // Worker 1 races ahead and finishes; worker 0 reports late.
+        for round in 0..3 {
+            let reports = vec![report(1, round + 1)];
+            tx.send(CoordMsg::Round {
+                worker: 1,
+                round,
+                reports,
+            })
+            .unwrap();
+        }
+        tx.send(CoordMsg::Done { worker: 1 }).unwrap();
+        for round in 0..2 {
+            let reports = vec![report(0, 10 * (round + 1))];
+            tx.send(CoordMsg::Round {
+                worker: 0,
+                round,
+                reports,
+            })
+            .unwrap();
+        }
+        tx.send(CoordMsg::Done { worker: 0 }).unwrap();
+        drop(tx);
+        let mut folded = Vec::new();
+        coordinate(rx, 2, |reports| {
+            folded.push(reports.iter().map(|r| (r.sid, r.len)).collect::<Vec<_>>())
+        });
+        assert_eq!(
+            folded,
+            vec![vec![(1, 1), (0, 10)], vec![(1, 2), (0, 20)], vec![(1, 3)],]
+        );
+    }
+
+    #[test]
+    fn routed_ingest_marks_only_fed_shards_dirty() {
+        // The fold counts each shard's inputs, so a checkpoint after a
+        // stream touching one site re-captures (and charges) one shard.
+        let mut engine = ShardedEngine::counters(det_spec(4), EngineConfig::new(4, 64)).unwrap();
+        let all = MonotoneGen::ones().updates(1_000, RoundRobin::new(4));
+        engine.run(&all).unwrap();
+        engine.checkpoint().unwrap();
+        let first = engine.checkpoint_stats().total_messages();
+        assert_eq!(first, 4);
+        let site2: Vec<Update> = (1..=300).map(|t| Update::new(1_000 + t, 2, 1)).collect();
+        let report = engine.run(&site2).unwrap();
+        assert_eq!((report.n, report.batches), (300, 5));
+        engine.checkpoint().unwrap();
+        assert_eq!(engine.checkpoint_stats().total_messages(), first + 1);
+    }
+
+    #[test]
+    fn disagreeing_replicas_are_a_typed_error() {
+        // Shard 2 tracks a different site count.
+        let err = ShardedEngine::with_factory(EngineConfig::new(3, 16), |s| {
+            det_spec(if s == 2 { 5 } else { 4 }).build()
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::ReplicaMismatch {
+                shard: 2,
+                what: "site count",
+                expected: 4,
+                found: 5,
+            }
+        );
+        // Shard 1 is a different kind.
+        let err = ShardedEngine::with_factory(EngineConfig::new(2, 16), |s| {
+            let kind = [TrackerKind::Deterministic, TrackerKind::Naive][s];
+            TrackerSpec::new(kind).k(4).eps(0.1).build()
+        })
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::ReplicaMismatch {
+                shard: 1,
+                what: "tracker kind tag",
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("replica 1"));
     }
 
     #[test]

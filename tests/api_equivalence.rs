@@ -168,40 +168,6 @@ fn every_frequency_kind_is_bit_identical_on_item_streams() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_monitor_shim_matches_the_spec_path() {
-    // The one-release shim must agree with its replacement until removal.
-    let eps = 0.25;
-    let deltas = MonotoneGen::ones().deltas(3_000);
-    for kind in MonitorKind::ALL {
-        for seed in SEEDS {
-            let k = if kind == MonitorKind::SingleSite {
-                1
-            } else {
-                3
-            };
-            let mut shim = Monitor::new(kind, k, eps, seed);
-            let mut spec_built = TrackerSpec::new(TrackerKind::from(kind))
-                .k(k)
-                .eps(eps)
-                .seed(seed)
-                .build()
-                .unwrap();
-            for (i, &d) in deltas.iter().enumerate() {
-                assert_eq!(
-                    shim.step(i % k, d),
-                    spec_built.step(i % k, d),
-                    "{} seed {seed} diverged at t = {}",
-                    kind.label(),
-                    i + 1
-                );
-            }
-            assert_eq!(shim.stats(), spec_built.stats());
-        }
-    }
-}
-
-#[test]
 fn driver_report_is_bit_identical_to_tracker_runner() {
     // The unified Driver and the low-level TrackerRunner must produce the
     // same audit on the same tracker and stream.

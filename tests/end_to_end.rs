@@ -2,6 +2,7 @@
 //! auditing the paper's guarantees end-to-end through the public API
 //! (the `TrackerSpec` builder + `Driver` runner front door).
 
+use dsv::core::deterministic::{DetCoord, DetSite};
 use dsv::prelude::*;
 
 /// Spec-built tracker driven over `updates` with auditing at `eps`.
@@ -147,7 +148,7 @@ fn trackers_agree_with_naive_ground_truth_at_block_ends() {
     // value at every block boundary.
     let k = 4;
     let updates = WalkGen::biased(7, 0.3).updates(20_000, RoundRobin::new(k));
-    let mut det = DeterministicTracker::sim(k, 0.1);
+    let mut det = StarSim::with_k(k, |_| DetSite::new(0.1), DetCoord::new(k).with_block_log());
     let mut truth = Vec::new();
     let mut f = 0i64;
     for u in &updates {

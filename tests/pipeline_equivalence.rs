@@ -205,52 +205,107 @@ fn every_frequency_kind_is_bit_identical_pipelined_vs_parted() {
 
 #[test]
 fn feeds_closed_mid_batch_match_parted_partial_rounds() {
-    // Feed lengths deliberately not multiples of the batch size, several
-    // feeds per site, one feed empty: every partial-final-round shape at
-    // once. A feed closed mid-batch ends its stream exactly there — the
-    // worker runs the final partial round and the cut stays identical to
-    // run_parted over the same (truncated) feeds.
+    // Every feed shape the round loop has an edge for, each run through
+    // run_parted and run_pipelined at W = 1, 2, 3 and held bit-identical
+    // to run_parted at W = 1. A feed closed mid-batch ends its stream
+    // exactly there — the worker runs the final partial round and the
+    // cut stays identical to run_parted over the same (truncated) feeds.
     let spec = TrackerSpec::new(TrackerKind::Deterministic)
         .k(3)
         .eps(0.1)
         .deletions(true);
-    let cfg = EngineConfig::new(3, 100).eps(0.1);
-    let feed_sites = [0usize, 1, 2, 1, 0];
-    let feed_data: Vec<Vec<i64>> = vec![
-        vec![1; 250],  // site 0: 2.5 batches
-        vec![1; 399],  // site 1: just under 4
-        vec![-1; 101], // site 2: just over 1
-        vec![1; 37],   // site 1 again: a second feed on the same shard
-        vec![],        // site 0: closed without a single push
+    // (name, logical shards, feeds as (site, inputs)); batch is 100.
+    type Feeds = Vec<(usize, Vec<i64>)>;
+    let shapes: Vec<(&str, usize, Feeds)> = vec![
+        (
+            "ragged",
+            3,
+            vec![
+                (0, vec![1; 250]),  // 2.5 batches
+                (1, vec![1; 399]),  // just under 4
+                (2, vec![-1; 101]), // just over 1
+                (1, vec![1; 37]),   // a second feed on the same shard
+                (0, vec![]),        // closed without a single push
+            ],
+        ),
+        ("no feeds", 3, vec![]),
+        (
+            "empty mixed with full",
+            3,
+            vec![
+                (0, vec![]),
+                (1, vec![1; 300]),
+                (2, vec![]),
+                (0, vec![-1; 150]),
+                (2, vec![]),
+            ],
+        ),
+        (
+            "exact multiples of batch",
+            3,
+            vec![(0, vec![1; 300]), (1, vec![-1; 100]), (2, vec![1; 200])],
+        ),
+        (
+            "several feeds on one site",
+            3,
+            vec![
+                (1, vec![1; 120]),
+                (1, vec![-1; 250]),
+                (1, vec![1; 99]),
+                (0, vec![1; 50]),
+                (1, vec![1; 100]),
+            ],
+        ),
+        (
+            "worker without feeds",
+            4,
+            vec![(0, vec![1; 230]), (2, vec![-1; 170]), (2, vec![1; 64])],
+        ),
     ];
-    let slices: Vec<(usize, &[i64])> = feed_sites
-        .iter()
-        .zip(&feed_data)
-        .map(|(&s, v)| (s, v.as_slice()))
-        .collect();
 
-    let mut parted = ShardedEngine::counters(spec, cfg).unwrap();
-    let parted_report = parted.run_parted(&slices).unwrap();
+    for (name, shards, feeds) in &shapes {
+        let cfg = EngineConfig::new(*shards, 100).eps(0.1);
+        let sites: Vec<usize> = feeds.iter().map(|(site, _)| *site).collect();
+        let slices: Vec<(usize, &[i64])> = feeds.iter().map(|(s, v)| (*s, v.as_slice())).collect();
 
-    let mut piped = ShardedEngine::counters(spec, cfg).unwrap();
-    let report = piped
-        .run_pipelined(&feed_sites, |handles| {
-            std::thread::scope(|s| {
-                for (mut handle, data) in handles.into_iter().zip(&feed_data) {
-                    s.spawn(move || {
-                        // Push in ragged chunks, closing mid-batch.
-                        for chunk in data.chunks(83) {
-                            handle.push_batch(chunk).unwrap();
+        let mut reference = ShardedEngine::counters(spec, cfg.workers(1)).unwrap();
+        let want_report = reference.run_parted(&slices).unwrap();
+        let want = fingerprint(&reference);
+        let total: usize = feeds.iter().map(|(_, v)| v.len()).sum();
+        assert_eq!(want_report.n, total as u64, "{name}");
+
+        for workers in [1usize, 2, 3] {
+            let mut parted = ShardedEngine::counters(spec, cfg.workers(workers)).unwrap();
+            let report = parted.run_parted(&slices).unwrap();
+            assert_eq!(fingerprint(&parted), want, "{name}: run_parted W={workers}");
+            assert_eq!(report.n, want_report.n, "{name}: run_parted W={workers}");
+            assert_eq!(report.batches, want_report.batches, "{name}: W={workers}");
+
+            let mut piped = ShardedEngine::counters(spec, cfg.workers(workers)).unwrap();
+            let report = piped
+                .run_pipelined(&sites, |handles| {
+                    std::thread::scope(|s| {
+                        for (mut handle, (_, data)) in handles.into_iter().zip(feeds) {
+                            s.spawn(move || {
+                                // Push in ragged chunks, closing mid-batch.
+                                for chunk in data.chunks(83) {
+                                    handle.push_batch(chunk).unwrap();
+                                }
+                                handle.close();
+                            });
                         }
-                        handle.close();
                     });
-                }
-            });
-        })
-        .unwrap();
-    assert_eq!(fingerprint(&piped), fingerprint(&parted));
-    assert_eq!(report.n, parted_report.n);
-    assert_eq!(report.batches, parted_report.batches);
+                })
+                .unwrap();
+            assert_eq!(
+                fingerprint(&piped),
+                want,
+                "{name}: run_pipelined W={workers}"
+            );
+            assert_eq!(report.n, want_report.n, "{name}: run_pipelined W={workers}");
+            assert_eq!(report.batches, want_report.batches, "{name}: W={workers}");
+        }
+    }
 }
 
 #[test]

@@ -7,6 +7,7 @@
 //!   per-item estimates and RNG streams for the randomized kinds;
 //! * mismatched specs and snapshots are typed errors, not panics.
 
+use dsv::core::deterministic::{DetCoord, DetSite};
 use dsv::prelude::*;
 
 fn lcg(state: &mut u64) -> u64 {
@@ -325,5 +326,74 @@ fn custom_protocols_without_the_seam_are_a_typed_error() {
     assert_eq!(
         sim.save_state(&mut enc).unwrap_err(),
         CodecError::UnsupportedNode
+    );
+}
+
+#[test]
+fn spec_built_snapshots_do_not_grow_with_completed_blocks() {
+    // The coordinator's block log is opt-in: a spec-built tracker keeps
+    // none, so its snapshot is the same size however many blocks a long
+    // fair walk completes. A logging twin counts those blocks.
+    let k = 4;
+    let spec = TrackerSpec::new(TrackerKind::Deterministic)
+        .k(k)
+        .eps(0.1)
+        .deletions(true);
+    let mut tracker = spec.build().unwrap();
+    let mut twin = StarSim::with_k(k, |_| DetSite::new(0.1), DetCoord::new(k).with_block_log());
+    let walk = WalkGen::fair(5).updates(100_000, RoundRobin::new(k));
+    let (head, tail) = walk.split_at(1_000);
+    for u in head {
+        tracker.step(u.site, u.delta);
+        twin.step(u.site, u.delta);
+    }
+    let early_len = tracker.snapshot().unwrap().payload().len();
+    let early_blocks = twin.coordinator().blocks().log().unwrap().len();
+    for u in tail {
+        tracker.step(u.site, u.delta);
+        twin.step(u.site, u.delta);
+    }
+    let blocks = twin.coordinator().blocks().log().unwrap().len();
+    assert!(
+        blocks > early_blocks + 100,
+        "the walk must complete many blocks: {early_blocks} -> {blocks}"
+    );
+    assert_eq!(tracker.estimate(), twin.estimate());
+    assert_eq!(tracker.snapshot().unwrap().payload().len(), early_len);
+}
+
+#[test]
+fn snapshots_carrying_a_block_log_still_restore() {
+    // An image whose coordinator logged every block (the format every
+    // tracker wrote while logging was unconditional) restores into a
+    // spec-built tracker, which drops the log and then continues
+    // bit-identically with one that never kept it.
+    let k = 3;
+    let spec = TrackerSpec::new(TrackerKind::Deterministic)
+        .k(k)
+        .eps(0.1)
+        .deletions(true);
+    let walk = WalkGen::fair(9).updates(30_000, RoundRobin::new(k));
+    let (head, tail) = walk.split_at(20_000);
+    let mut logged = StarSim::with_k(k, |_| DetSite::new(0.1), DetCoord::new(k).with_block_log());
+    let mut plain = spec.build().unwrap();
+    for u in head {
+        logged.step(u.site, u.delta);
+        plain.step(u.site, u.delta);
+    }
+    assert!(logged.coordinator().blocks().log().unwrap().len() > 3);
+    let image = Tracker::snapshot(&logged).unwrap();
+    let plain_image = plain.snapshot().unwrap();
+    assert!(image.payload().len() > plain_image.payload().len());
+
+    let mut resumed = spec.resume(&image).unwrap();
+    assert_eq!(resumed.snapshot().unwrap().payload(), plain_image.payload());
+    for u in tail {
+        assert_eq!(resumed.step(u.site, u.delta), plain.step(u.site, u.delta));
+    }
+    assert_eq!(resumed.stats(), plain.stats());
+    assert_eq!(
+        resumed.snapshot().unwrap().payload(),
+        plain.snapshot().unwrap().payload()
     );
 }
