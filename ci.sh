@@ -163,6 +163,17 @@ cargo clippy --workspace --all-targets ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 step "cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 
+if [ -z "${DSV_FEATURES:-}" ]; then
+    step "perfbench tests (benchmark arithmetic + a tiny pass of every workload)"
+    # The repository benchmark is its own package (perfbench/, with its
+    # own lockfile and target dir). Its tests check the statistics the
+    # benchmark reports and run every workload end to end at a tiny
+    # scale, through run_pipelined, RemoteEngine and the fleet public
+    # APIs. It enables the remote seam itself, so it does not depend on
+    # the matrix features; the default-features job runs it once.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+fi
+
 step "cargo build --release --examples"
 cargo build --release --examples ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 

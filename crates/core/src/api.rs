@@ -1522,6 +1522,43 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_deletions_into_monotone_kinds_panic_at_the_site() {
+        // Stepping a tracker directly bypasses the Driver's typed check;
+        // the insert-only kinds' sites then refuse a deletion outright.
+        for kind in TrackerKind::COUNTERS {
+            let k = if kind == TrackerKind::SingleSite {
+                1
+            } else {
+                2
+            };
+            let result = std::panic::catch_unwind(|| {
+                let mut tracker = counter_spec(kind, k).build().unwrap();
+                tracker.step(0, 1);
+                tracker.step(0, -1);
+            });
+            assert_eq!(
+                result.is_ok(),
+                kind.supports_deletions(),
+                "{}",
+                kind.label()
+            );
+        }
+    }
+
+    #[test]
+    fn deterministic_and_naive_agree_on_a_fair_walk() {
+        let deltas = WalkGen::fair(5).deltas(3_000);
+        let build = |kind| counter_spec(kind, 2).eps(0.1).build().unwrap();
+        let (mut det, mut naive) = (build(TrackerKind::Deterministic), build(TrackerKind::Naive));
+        for (i, &d) in deltas.iter().enumerate() {
+            det.step(i % 2, d);
+            naive.step(i % 2, d);
+        }
+        assert!(relative_error(naive.estimate(), det.estimate()) <= 0.1);
+        assert!(det.stats().total_messages() <= naive.stats().total_messages() * 6);
+    }
+
+    #[test]
     fn spec_builds_every_frequency_kind_and_tracks_f1() {
         let updates = ItemStreamGen::new(5, 64, 1.1, 0.2, 1).updates(4_000, RoundRobin::new(3));
         for kind in TrackerKind::FREQUENCIES {

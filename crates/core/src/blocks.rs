@@ -604,6 +604,34 @@ mod tests {
     }
 
     #[test]
+    fn restore_keeps_the_receivers_log_choice() {
+        let deltas: Vec<i64> = (0..3_000)
+            .map(|i| if i % 5 == 4 { -1 } else { 1 })
+            .collect();
+        let (sim, _) = run_blocks(3, &deltas);
+        let logged = sim.coordinator().blocks();
+        let mut image = Enc::new();
+        logged.save_state(&mut image);
+        let image = image.into_bytes();
+        let mut plain = BlockCoordinator::new(BlockConfig::new(3));
+        let mut unlogged_image = Enc::new();
+        plain.save_state(&mut unlogged_image);
+        let unlogged_image = unlogged_image.into_bytes();
+
+        // A logless receiver decodes the log and drops it.
+        plain.load_state(&mut Dec::new(&image)).unwrap();
+        assert_eq!(plain.log(), None);
+        assert_eq!(plain.block_index(), logged.block_index());
+        // A logging receiver takes the image's log, or starts an empty one.
+        let mut reader = BlockCoordinator::new(BlockConfig::new(3));
+        reader.enable_log();
+        reader.load_state(&mut Dec::new(&image)).unwrap();
+        assert_eq!(reader.log(), logged.log());
+        reader.load_state(&mut Dec::new(&unlogged_image)).unwrap();
+        assert_eq!(reader.log(), Some(&[][..]));
+    }
+
+    #[test]
     fn block_boundaries_are_exact_syncs() {
         let k = 4;
         let deltas: Vec<i64> = (0..5_000)

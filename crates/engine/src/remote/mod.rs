@@ -74,9 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{JoinHandle, Scope, ScopedJoinHandle};
 use std::time::Duration;
-use wire::{
-    Chunk, Inputs, RoundEntry, RoundWork, ShardInit, StateEntry, StatePull, ToCoord, ToWorker,
-};
+use wire::{Chunk, Inputs, RoundWork, ShardInit, StateEntry, StatePull, ToCoord, ToWorker};
 
 /// How the coordinator rendezvouses with its shard workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -374,17 +372,6 @@ impl RemoteInput for (u64, i64) {
     }
 }
 
-impl From<RoundEntry> for ShardRound {
-    fn from(e: RoundEntry) -> Self {
-        ShardRound {
-            sid: e.sid,
-            est: e.estimate,
-            sum: e.sum,
-            len: e.len,
-        }
-    }
-}
-
 /// One worker slot: its live connection (None once dead), the OS child
 /// or thread backing it, and its spawn generation.
 struct Slot {
@@ -656,16 +643,10 @@ impl<In: RemoteInput> RemoteEngine<In> {
             self.rcfg.recovery = saved;
             drove?;
         } else {
-            for round in 0..rounds {
-                let mut reports = self.exchange_round(feeds, round, ckpt_rounds, rounds_done)?;
-                self.cut.fold(&mut audit, &mut reports);
+            for _ in 0..rounds {
+                let mut reports = self.exchange_round(feeds, ckpt_rounds, rounds_done)?;
+                self.fold_round(&mut audit, &mut reports, rounds_done);
                 rounds_done += 1;
-                for w in 0..self.workers.len() {
-                    if let Some(kind) = self.faults.take(FaultPoint::AtBoundary(rounds_done - 1), w)
-                    {
-                        self.disrupt(w, kind);
-                    }
-                }
                 if period > 0 && rounds_done.is_multiple_of(period) {
                     self.sync_checkpoint(
                         feeds,
@@ -697,43 +678,25 @@ impl<In: RemoteInput> RemoteEngine<In> {
     fn exchange_round(
         &mut self,
         feeds: &[(SiteId, &[In])],
-        round: usize,
         ckpt_rounds: u64,
         rounds_done: u64,
     ) -> Result<Vec<ShardRound>, RemoteError> {
-        let s_count = self.cfg.shards_count();
-        let batch = self.cfg.batch_size();
-        let mut remaining: BTreeSet<usize> = feeds
-            .iter()
-            .filter(|(_, inputs)| chunk_bounds(inputs.len(), batch, round).is_some())
-            .map(|&(site, _)| site % s_count)
-            .collect();
+        let cut = self.feed_rounds(feeds);
+        let mut remaining: BTreeSet<usize> = cut.round_shards(rounds_done).collect();
         let mut entries: BTreeMap<usize, ShardRound> = BTreeMap::new();
 
         while !remaining.is_empty() {
             let mut per_worker: BTreeMap<usize, Vec<Chunk>> = BTreeMap::new();
-            for &(site, inputs) in feeds {
-                let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round) else {
-                    continue;
-                };
-                let sid = site % s_count;
-                if !remaining.contains(&sid) {
-                    continue;
-                }
-                per_worker.entry(self.owner[sid]).or_default().push(Chunk {
-                    sid,
-                    site,
-                    inputs: In::wrap(&inputs[lo..hi]),
-                });
+            for chunk in cut.chunks(rounds_done, |sid| remaining.contains(&sid)) {
+                per_worker
+                    .entry(self.owner[chunk.sid])
+                    .or_default()
+                    .push(chunk);
             }
             let mut failed: BTreeSet<usize> = BTreeSet::new();
             let mut sent: Vec<(usize, Vec<usize>)> = Vec::new();
             for (w, chunks) in per_worker {
-                let fault = self.faults.take(FaultPoint::MidRound(rounds_done), w);
-                let delay_ms = match fault {
-                    Some(FaultKind::Delay { ms }) => ms,
-                    _ => 0,
-                };
+                let (delay_ms, disrupt) = self.round_fault(rounds_done, w);
                 let sids: Vec<usize> = chunks.iter().map(|c| c.sid).collect();
                 let msg = ToWorker::Round {
                     round: rounds_done,
@@ -746,8 +709,8 @@ impl<In: RemoteInput> RemoteEngine<In> {
                         failed.insert(w);
                     }
                 }
-                if matches!(fault, Some(FaultKind::Kill) | Some(FaultKind::Sever)) {
-                    self.disrupt(w, fault.unwrap());
+                if let Some(kind) = disrupt {
+                    self.disrupt(w, kind);
                 }
             }
             for (w, sids) in sent {
@@ -755,7 +718,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                     Ok(ToCoord::RoundReport { round: r, reports }) if r == rounds_done => {
                         for e in reports {
                             remaining.remove(&e.sid);
-                            entries.insert(e.sid, e.into());
+                            entries.insert(e.sid, e);
                         }
                         // A live worker must report every shard it was
                         // sent — resending to it would double-apply.
@@ -810,37 +773,20 @@ impl<In: RemoteInput> RemoteEngine<In> {
         rounds_done: &mut u64,
         ckpt_rounds: &mut u64,
     ) -> Result<(), RemoteError> {
-        let s_count = self.cfg.shards_count();
-        let batch = self.cfg.batch_size();
+        let cut = self.feed_rounds(feeds);
         let rpf = self.cfg.rounds_per_frame_value();
         let policy = self.cfg.backpressure_policy();
         let period = self.cfg.checkpoint_period();
         let w_count = self.workers.len();
-        // Two blocks in flight plus their flush cuts always fit.
-        let cap = 2 * rpf + 2;
 
         std::thread::scope(|scope| {
-            let mut rings: Vec<Arc<Ring<Cmd>>> = Vec::with_capacity(w_count);
-            let mut lanes: Vec<Option<ScopedJoinHandle<'_, Conn>>> = Vec::with_capacity(w_count);
+            let mut lanes = Lanes::new(scope, cut, rpf);
             let mut drive = || -> Result<(), RemoteError> {
                 for w in 0..w_count {
                     if self.workers[w].conn.is_none() {
                         self.failover(w, feeds, *ckpt_rounds, *rounds_done)?;
                     }
-                    let conn = self.worker_conn_clone(w)?;
-                    let ring = Arc::new(Ring::new(cap));
-                    lanes.push(Some(spawn_writer(
-                        scope,
-                        Arc::clone(&ring),
-                        conn,
-                        feeds,
-                        self.owner.clone(),
-                        w,
-                        s_count,
-                        batch,
-                        rpf,
-                    )));
-                    rings.push(ring);
+                    lanes.start(w, self.worker_conn_clone(w)?, self.owner.clone());
                 }
                 // Per-worker expectation FIFO (rounds staged, report not
                 // yet received) and per-round report entries received
@@ -862,21 +808,12 @@ impl<In: RemoteInput> RemoteEngine<In> {
                             let block_end = (staged + rpf as u64).min(window_end);
                             for rr in block_start..block_end {
                                 for w in 0..w_count {
-                                    let participates = feeds.iter().any(|&(site, inputs)| {
-                                        self.owner[site % s_count] == w
-                                            && chunk_bounds(inputs.len(), batch, rr as usize)
-                                                .is_some()
-                                    });
-                                    if !participates {
+                                    if !cut.round_shards(rr).any(|sid| self.owner[sid] == w) {
                                         continue;
                                     }
-                                    let fault = self.faults.take(FaultPoint::MidRound(rr), w);
-                                    let delay_ms = match fault {
-                                        Some(FaultKind::Delay { ms }) => ms,
-                                        _ => 0,
-                                    };
+                                    let (delay_ms, disrupt) = self.round_fault(rr, w);
                                     while !stage_push(
-                                        &rings[w],
+                                        &lanes.rings[w],
                                         policy,
                                         Cmd::Round {
                                             round: rr,
@@ -896,28 +833,16 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                             &mut outstanding,
                                             &mut pending,
                                         )?;
-                                        let conn = self.worker_conn_clone(w)?;
-                                        rebuild_lane(
-                                            scope,
-                                            &mut rings,
-                                            &mut lanes,
-                                            &mut self.wire,
-                                            conn,
-                                            feeds,
-                                            self.owner.clone(),
+                                        lanes.rebuild(
                                             w,
-                                            s_count,
-                                            batch,
-                                            rpf,
-                                            cap,
+                                            self.worker_conn_clone(w)?,
+                                            self.owner.clone(),
+                                            &mut self.wire,
                                         );
                                     }
                                     outstanding[w].push_back(rr);
-                                    if matches!(
-                                        fault,
-                                        Some(FaultKind::Kill) | Some(FaultKind::Sever)
-                                    ) {
-                                        self.disrupt(w, fault.unwrap());
+                                    if let Some(kind) = disrupt {
+                                        self.disrupt(w, kind);
                                     }
                                 }
                             }
@@ -926,7 +851,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                             for w in 0..w_count {
                                 let in_block =
                                     outstanding[w].back().is_some_and(|&r| r >= block_start);
-                                if in_block && !stage_push(&rings[w], policy, Cmd::Flush) {
+                                if in_block && !stage_push(&lanes.rings[w], policy, Cmd::Flush) {
                                     self.pipelined_failover(
                                         w,
                                         feeds,
@@ -936,20 +861,11 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                         &mut outstanding,
                                         &mut pending,
                                     )?;
-                                    let conn = self.worker_conn_clone(w)?;
-                                    rebuild_lane(
-                                        scope,
-                                        &mut rings,
-                                        &mut lanes,
-                                        &mut self.wire,
-                                        conn,
-                                        feeds,
-                                        self.owner.clone(),
+                                    lanes.rebuild(
                                         w,
-                                        s_count,
-                                        batch,
-                                        rpf,
-                                        cap,
+                                        self.worker_conn_clone(w)?,
+                                        self.owner.clone(),
+                                        &mut self.wire,
                                     );
                                 }
                             }
@@ -971,7 +887,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                         outstanding[w].pop_front();
                                         let slot = pending.entry(round).or_default();
                                         for e in reports {
-                                            slot.insert(e.sid, e.into());
+                                            slot.insert(e.sid, e);
                                         }
                                     }
                                     Ok(_) => {
@@ -990,47 +906,28 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                             &mut outstanding,
                                             &mut pending,
                                         )?;
-                                        let conn = self.worker_conn_clone(w)?;
-                                        rebuild_lane(
-                                            scope,
-                                            &mut rings,
-                                            &mut lanes,
-                                            &mut self.wire,
-                                            conn,
-                                            feeds,
-                                            self.owner.clone(),
+                                        lanes.rebuild(
                                             w,
-                                            s_count,
-                                            batch,
-                                            rpf,
-                                            cap,
+                                            self.worker_conn_clone(w)?,
+                                            self.owner.clone(),
+                                            &mut self.wire,
                                         );
                                     }
                                     Err(e) => return Err(e),
                                 }
                             }
                             let entries = pending.remove(&r).unwrap_or_default();
-                            for &(site, inputs) in feeds {
-                                if chunk_bounds(inputs.len(), batch, r as usize).is_some()
-                                    && !entries.contains_key(&(site % s_count))
-                                {
-                                    return Err(RemoteError::Protocol {
-                                        worker: self.owner[site % s_count],
-                                        what: "round report missing a dispatched shard",
-                                    });
-                                }
+                            if let Some(sid) =
+                                cut.round_shards(r).find(|s| !entries.contains_key(s))
+                            {
+                                return Err(RemoteError::Protocol {
+                                    worker: self.owner[sid],
+                                    what: "round report missing a dispatched shard",
+                                });
                             }
                             let mut reports: Vec<ShardRound> = entries.into_values().collect();
-                            self.cut.fold(audit, &mut reports);
+                            self.fold_round(audit, &mut reports, *rounds_done);
                             *rounds_done += 1;
-                            for w in 0..w_count {
-                                if let Some(kind) = self
-                                    .faults
-                                    .take(FaultPoint::AtBoundary(*rounds_done - 1), w)
-                                {
-                                    self.disrupt(w, kind);
-                                }
-                            }
                         }
                     }
                     // Checkpoint barrier: staged == absorbed ==
@@ -1048,20 +945,11 @@ impl<In: RemoteInput> RemoteEngine<In> {
                         )?;
                         for (w, &gen) in gens.iter().enumerate().take(w_count) {
                             if self.workers[w].generation != gen {
-                                let conn = self.worker_conn_clone(w)?;
-                                rebuild_lane(
-                                    scope,
-                                    &mut rings,
-                                    &mut lanes,
-                                    &mut self.wire,
-                                    conn,
-                                    feeds,
-                                    self.owner.clone(),
+                                lanes.rebuild(
                                     w,
-                                    s_count,
-                                    batch,
-                                    rpf,
-                                    cap,
+                                    self.worker_conn_clone(w)?,
+                                    self.owner.clone(),
+                                    &mut self.wire,
                                 );
                             }
                         }
@@ -1072,16 +960,8 @@ impl<In: RemoteInput> RemoteEngine<In> {
             let result = drive();
             // Always torn down before the scope exits — an error must not
             // leave a writer parked on an open queue.
-            for ring in &rings {
-                ring.close();
-            }
-            for lane in lanes.iter_mut() {
-                if let Some(handle) = lane.take() {
-                    match handle.join() {
-                        Ok(conn) => self.wire.merge(conn.stats()),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
+            for w in 0..lanes.rings.len() {
+                lanes.stop(w, &mut self.wire);
             }
             result
         })
@@ -1110,27 +990,12 @@ impl<In: RemoteInput> RemoteEngine<In> {
         outstanding: &mut [VecDeque<u64>],
         pending: &mut BTreeMap<u64, BTreeMap<usize, ShardRound>>,
     ) -> Result<(), RemoteError> {
-        let s_count = self.cfg.shards_count();
-        let batch = self.cfg.batch_size();
+        let cut = self.feed_rounds(feeds);
         'catchup: loop {
             outstanding[dead].clear();
             self.failover(dead, feeds, ckpt_rounds, rounds_done)?;
             for rr in rounds_done..frontier {
-                let mut chunks = Vec::new();
-                for &(site, inputs) in feeds {
-                    let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, rr as usize) else {
-                        continue;
-                    };
-                    let sid = site % s_count;
-                    if self.owner[sid] != dead {
-                        continue;
-                    }
-                    chunks.push(Chunk {
-                        sid,
-                        site,
-                        inputs: In::wrap(&inputs[lo..hi]),
-                    });
-                }
+                let chunks = cut.chunks(rr, |sid| self.owner[sid] == dead);
                 if chunks.is_empty() {
                     continue;
                 }
@@ -1143,7 +1008,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                     Ok(ToCoord::RoundReport { round, reports }) if round == rr => {
                         let slot = pending.entry(rr).or_default();
                         for e in reports {
-                            slot.insert(e.sid, e.into());
+                            slot.insert(e.sid, e);
                         }
                     }
                     Ok(_) => {
@@ -1157,6 +1022,36 @@ impl<In: RemoteInput> RemoteEngine<In> {
                 }
             }
             return Ok(());
+        }
+    }
+
+    /// Fold a completed round at boundary `boundary` (0-based within
+    /// the call), then fire the faults planned for that boundary.
+    fn fold_round(&mut self, audit: &mut RunAudit, reports: &mut [ShardRound], boundary: u64) {
+        self.cut.fold(audit, reports);
+        for w in 0..self.workers.len() {
+            if let Some(kind) = self.faults.take(FaultPoint::AtBoundary(boundary), w) {
+                self.disrupt(w, kind);
+            }
+        }
+    }
+
+    /// The fault planned for worker `w` in round `round`, split into the
+    /// stall to ship with the round (ms) and a kill or sever to apply
+    /// once the round is sent.
+    fn round_fault(&mut self, round: u64, w: usize) -> (u64, Option<FaultKind>) {
+        match self.faults.take(FaultPoint::MidRound(round), w) {
+            Some(FaultKind::Delay { ms }) => (ms, None),
+            other => (0, other),
+        }
+    }
+
+    /// This run's feeds cut into rounds at the engine's batch size.
+    fn feed_rounds<'a>(&self, feeds: &'a [(SiteId, &'a [In])]) -> FeedCut<'a, In> {
+        FeedCut {
+            feeds,
+            batch: self.cfg.batch_size(),
+            s_count: self.cfg.shards_count(),
         }
     }
 
@@ -1330,7 +1225,6 @@ impl<In: RemoteInput> RemoteEngine<In> {
         rounds_done: u64,
     ) -> Result<(), RemoteError> {
         let s_count = self.cfg.shards_count();
-        let batch = self.cfg.batch_size();
         let mut dead = dead;
         'recover: loop {
             self.failovers += 1;
@@ -1407,22 +1301,9 @@ impl<In: RemoteInput> RemoteEngine<In> {
             // live and must not see the rounds twice).
             let mut replayed = 0u64;
             for replay_round in ckpt_rounds..rounds_done {
-                let mut chunks = Vec::new();
-                for &(site, inputs) in feeds {
-                    let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, replay_round as usize)
-                    else {
-                        continue;
-                    };
-                    let sid = site % s_count;
-                    if !owned.contains(&sid) {
-                        continue;
-                    }
-                    chunks.push(Chunk {
-                        sid,
-                        site,
-                        inputs: In::wrap(&inputs[lo..hi]),
-                    });
-                }
+                let chunks = self
+                    .feed_rounds(feeds)
+                    .chunks(replay_round, |sid| owned.contains(&sid));
                 if chunks.is_empty() {
                     continue;
                 }
@@ -1674,15 +1555,12 @@ fn stage_push(ring: &Ring<Cmd>, policy: Backpressure, cmd: Cmd) -> bool {
 /// staging side — and returns; on close-and-drained it flushes any
 /// pending partial frame and returns. Either way the connection handle
 /// comes back so the coordinator can fold its wire ledger.
-#[allow(clippy::too_many_arguments)]
 fn writer_drain<In: RemoteInput>(
     ring: &Ring<Cmd>,
     mut conn: Conn,
-    feeds: &[(SiteId, &[In])],
+    cut: FeedCut<'_, In>,
     owner: &[usize],
     w: usize,
-    s_count: usize,
-    batch: usize,
     rpf: usize,
 ) -> Conn {
     let mut cmds: Vec<Cmd> = Vec::with_capacity(1);
@@ -1700,21 +1578,7 @@ fn writer_drain<In: RemoteInput>(
         };
         match cmd {
             Cmd::Round { round, delay_ms } => {
-                let mut chunks = Vec::new();
-                for &(site, inputs) in feeds {
-                    let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round as usize) else {
-                        continue;
-                    };
-                    let sid = site % s_count;
-                    if owner[sid] != w {
-                        continue;
-                    }
-                    chunks.push(Chunk {
-                        sid,
-                        site,
-                        inputs: In::wrap(&inputs[lo..hi]),
-                    });
-                }
+                let chunks = cut.chunks(round, |sid| owner[sid] == w);
                 frame.push(RoundWork {
                     round,
                     delay_ms,
@@ -1743,60 +1607,96 @@ fn ship_frame(conn: &mut Conn, frame: &mut Vec<RoundWork>) -> Result<(), Transpo
     conn.send(&msg.to_bytes())
 }
 
-/// Spawn a writer thread for worker `w` inside the run's scope.
-#[allow(clippy::too_many_arguments)]
-fn spawn_writer<'scope, 'env, In: RemoteInput>(
-    scope: &'scope Scope<'scope, 'env>,
-    ring: Arc<Ring<Cmd>>,
-    conn: Conn,
-    feeds: &'env [(SiteId, &'env [In])],
-    owner: Vec<usize>,
-    w: usize,
-    s_count: usize,
+/// A run's feeds cut into rounds: which shards have work in a round, and
+/// that work as wire chunks — a pure function of `(feeds, batch,
+/// round)`, which is what lets failover replay rounds from the feeds.
+#[derive(Clone, Copy)]
+struct FeedCut<'a, In> {
+    feeds: &'a [(SiteId, &'a [In])],
     batch: usize,
-    rpf: usize,
-) -> ScopedJoinHandle<'scope, Conn> {
-    scope.spawn(move || writer_drain(&ring, conn, feeds, &owner, w, s_count, batch, rpf))
+    s_count: usize,
 }
 
-/// Tear down worker `w`'s send lane (close the queue, join the writer,
-/// fold its wire ledger) and start a fresh one over `conn` — the
-/// recovery step after any failover replaces the slot's connection.
-#[allow(clippy::too_many_arguments)]
-fn rebuild_lane<'scope, 'env, In: RemoteInput>(
+impl<'a, In: RemoteInput> FeedCut<'a, In> {
+    /// The shards with a chunk in `round` (once per feed, feed order).
+    fn round_shards(self, round: u64) -> impl Iterator<Item = usize> + 'a {
+        self.feeds.iter().filter_map(move |&(site, inputs)| {
+            chunk_bounds(inputs.len(), self.batch, round as usize).map(|_| site % self.s_count)
+        })
+    }
+
+    /// `round`'s chunks, in feed order, of the shards `keep` selects.
+    fn chunks(self, round: u64, mut keep: impl FnMut(usize) -> bool) -> Vec<Chunk> {
+        let mut chunks = Vec::new();
+        for &(site, inputs) in self.feeds {
+            let sid = site % self.s_count;
+            if let Some((lo, hi)) = chunk_bounds(inputs.len(), self.batch, round as usize) {
+                if keep(sid) {
+                    let inputs = In::wrap(&inputs[lo..hi]);
+                    chunks.push(Chunk { sid, site, inputs });
+                }
+            }
+        }
+        chunks
+    }
+}
+
+/// A pipelined run's send lanes: per worker, a bounded command queue and
+/// the writer thread draining it into its connection.
+struct Lanes<'scope, 'env, In> {
     scope: &'scope Scope<'scope, 'env>,
-    rings: &mut [Arc<Ring<Cmd>>],
-    lanes: &mut [Option<ScopedJoinHandle<'scope, Conn>>],
-    wire: &mut WireStats,
-    conn: Conn,
-    feeds: &'env [(SiteId, &'env [In])],
-    owner: Vec<usize>,
-    w: usize,
-    s_count: usize,
-    batch: usize,
+    cut: FeedCut<'env, In>,
     rpf: usize,
-    cap: usize,
-) {
-    rings[w].close();
-    if let Some(handle) = lanes[w].take() {
-        match handle.join() {
-            Ok(old) => wire.merge(old.stats()),
-            Err(panic) => std::panic::resume_unwind(panic),
+    rings: Vec<Arc<Ring<Cmd>>>,
+    writers: Vec<Option<ScopedJoinHandle<'scope, Conn>>>,
+}
+
+impl<'scope, 'env, In: RemoteInput> Lanes<'scope, 'env, In> {
+    fn new(scope: &'scope Scope<'scope, 'env>, cut: FeedCut<'env, In>, rpf: usize) -> Self {
+        Lanes {
+            scope,
+            cut,
+            rpf,
+            rings: Vec::new(),
+            writers: Vec::new(),
         }
     }
-    let ring = Arc::new(Ring::new(cap));
-    lanes[w] = Some(spawn_writer(
-        scope,
-        Arc::clone(&ring),
-        conn,
-        feeds,
-        owner,
-        w,
-        s_count,
-        batch,
-        rpf,
-    ));
-    rings[w] = ring;
+
+    /// Start worker `w`'s lane over `conn` (`owner`: the sid → worker
+    /// map the writer builds chunks with).
+    fn start(&mut self, w: usize, conn: Conn, owner: Vec<usize>) {
+        // Two blocks in flight plus their flush cuts always fit.
+        let ring = Arc::new(Ring::new(2 * self.rpf + 2));
+        let (cut, rpf, queue) = (self.cut, self.rpf, Arc::clone(&ring));
+        let writer = self
+            .scope
+            .spawn(move || writer_drain(&queue, conn, cut, &owner, w, rpf));
+        if w == self.rings.len() {
+            self.rings.push(ring);
+            self.writers.push(Some(writer));
+        } else {
+            self.rings[w] = ring;
+            self.writers[w] = Some(writer);
+        }
+    }
+
+    /// Close worker `w`'s queue, join its writer and fold its wire ledger.
+    fn stop(&mut self, w: usize, wire: &mut WireStats) {
+        self.rings[w].close();
+        if let Some(writer) = self.writers[w].take() {
+            match writer.join() {
+                Ok(conn) => wire.merge(conn.stats()),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    }
+
+    /// Replace worker `w`'s lane with a fresh one over `conn` — the
+    /// recovery step after any failover replaces the slot's connection.
+    fn rebuild(&mut self, w: usize, conn: Conn, owner: Vec<usize>, wire: &mut WireStats) {
+        self.stop(w, wire);
+        self.start(w, conn, owner);
+    }
 }
 
 #[cfg(test)]

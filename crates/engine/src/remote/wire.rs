@@ -396,20 +396,10 @@ fn decode_shard_inits(dec: &mut Dec) -> Result<Vec<ShardInit>, CodecError> {
     Ok(shards)
 }
 
-/// One shard's end-of-round report: the tuple the in-process merge path
-/// reconciles — end-of-round local estimate, the round's ground-truth
-/// increment, and the inputs consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundEntry {
-    /// The reporting shard.
-    pub sid: usize,
-    /// Its local estimate after this round's chunks.
-    pub estimate: i64,
-    /// Sum of the round's deltas at this shard (ground truth).
-    pub sum: i64,
-    /// Inputs consumed this round at this shard.
-    pub len: u64,
-}
+/// One shard's end-of-round report: the report the in-process engine
+/// folds at every boundary — end-of-round local estimate, the round's
+/// ground-truth increment, and the inputs consumed.
+pub use crate::round::ShardRound as RoundEntry;
 
 /// Worker → coordinator messages.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,14 +1,8 @@
 //! The boundary cut every ingestion path shares: feed validation, the
-//! per-feed round chunking rule, the one boundary fold, the run audit,
-//! and report assembly.
-//!
-//! Whatever executes a round — the routed dispatcher, the in-process
-//! worker loop, or shard workers behind sockets — hands the coordinator
-//! one [`ShardRound`] per shard that consumed inputs, and
-//! [`Cut::fold`] applies them: ground truth and time, dirty-shard
-//! counters, shard estimates absorbed in ascending shard order, then the
-//! ε-audit. Keeping that sequence in one place is what makes the engines
-//! bit-identical to each other by construction.
+//! round chunking rule, the one boundary fold, the run audit, and report
+//! assembly. Whatever executes a round — the routed dispatcher, the
+//! worker loop, shard workers behind sockets — ends it in [`Cut::fold`],
+//! which is what keeps the engines bit-identical by construction.
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::EngineConfig;
@@ -60,14 +54,19 @@ pub(crate) fn chunk_bounds(len: usize, batch: usize, round: usize) -> Option<(us
     (lo < hi).then_some((lo, hi))
 }
 
-/// One shard's part of a round: its end-of-round estimate, the sum of
-/// the deltas it consumed, and how many inputs that was.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardRound {
-    pub(crate) sid: usize,
-    pub(crate) est: i64,
-    pub(crate) sum: i64,
-    pub(crate) len: u64,
+/// One shard's end-of-round report — what every engine folds at a
+/// boundary (and what a remote worker sends, as
+/// `remote::wire::RoundEntry`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardRound {
+    /// The reporting shard.
+    pub sid: usize,
+    /// Its local estimate after this round's chunks.
+    pub estimate: i64,
+    /// Sum of the round's deltas at this shard (ground truth).
+    pub sum: i64,
+    /// Inputs consumed this round at this shard.
+    pub len: u64,
 }
 
 /// Per-call audit accumulator: the boundary count, ε-violations, worst
@@ -161,7 +160,7 @@ impl Cut {
             self.dirty[r.sid] += r.len;
         }
         for r in reports.iter() {
-            self.merge.absorb(r.sid, r.est);
+            self.merge.absorb(r.sid, r.estimate);
         }
         audit.boundary(self.time, self.f, self.merge.estimate());
     }
@@ -221,86 +220,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_bounds_clip_and_end() {
-        assert_eq!(chunk_bounds(10, 4, 0), Some((0, 4)));
-        assert_eq!(chunk_bounds(10, 4, 2), Some((8, 10)));
-        assert_eq!(chunk_bounds(10, 4, 3), None);
-        assert_eq!(chunk_bounds(8, 4, 2), None);
-        assert_eq!(chunk_bounds(0, 4, 0), None);
-    }
-
-    #[test]
-    fn feed_validation_names_the_site_and_the_deletion_time() {
-        let ok: &[i64] = &[1, 1];
-        let bad: &[i64] = &[1, 1, -1];
-        let kind = TrackerKind::CmyMonotone;
-        assert_eq!(validate_feeds(&[(0, ok), (1, ok)], 2, kind, 7), Ok(()));
-        assert_eq!(
-            validate_feeds(&[(0, ok), (5, ok)], 2, kind, 7),
-            Err(RunError::SiteOutOfRange {
-                site: 5,
-                k: 2,
-                time: 7
-            })
-        );
-        // The deletion is the third input: consumed at t = 7 + 3.
-        assert_eq!(
-            validate_feeds(&[(1, bad)], 2, kind, 7),
-            Err(RunError::DeletionUnsupported { kind, time: 10 })
-        );
-        assert_eq!(
-            validate_feeds(&[(1, bad)], 2, TrackerKind::Deterministic, 7),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn cut_checkpoint_restores_the_boundary() {
-        let cfg = EngineConfig::new(2, 4);
-        let mut cut = Cut::new(2);
-        let mut audit = RunAudit::start(&cfg, &cut);
-        let mut reports = [ShardRound {
-            sid: 1,
-            est: -3,
-            sum: -4,
-            len: 6,
-        }];
-        cut.fold(&mut audit, &mut reports);
-        let ckpt = cut.checkpoint(TrackerKind::Naive, 2, Vec::new());
-        let mut back = Cut::new(2);
-        back.restore(&ckpt).unwrap();
-        assert_eq!((back.time, back.f), (6, -4));
-        assert_eq!(back.merge.estimate(), -3);
-        assert_eq!(back.merge.stats(), cut.merge.stats());
-        // A cut over a different shard count refuses the merge state.
-        assert!(Cut::new(3).restore(&ckpt).is_err());
-    }
-
-    #[test]
     fn fold_absorbs_in_shard_order_whatever_the_arrival_order() {
         let cfg = EngineConfig::new(3, 4);
         let mut cut = Cut::new(3);
         let mut audit = RunAudit::start(&cfg, &cut);
-        let mut reports = [
-            ShardRound {
-                sid: 2,
-                est: 5,
-                sum: 5,
-                len: 5,
-            },
-            ShardRound {
-                sid: 0,
-                est: 3,
-                sum: 3,
-                len: 3,
-            },
-        ];
+        let report = |sid, estimate, len| ShardRound {
+            sid,
+            estimate,
+            sum: estimate,
+            len,
+        };
+        let mut reports = [report(2, 5, 5), report(0, 3, 3)];
         cut.fold(&mut audit, &mut reports);
         assert_eq!(reports.map(|r| r.sid), [0, 2]);
         assert_eq!((cut.time, cut.f, cut.merge.estimate()), (8, 8, 8));
         assert_eq!(cut.dirty, vec![3, 0, 5]);
         let report = cut.finish(audit, &cfg, 1, CommStats::new(), IngestStats::new());
-        assert_eq!((report.n, report.batches), (8, 1));
-        assert_eq!(report.boundary_violations, 0);
+        assert_eq!(
+            (report.n, report.batches, report.boundary_violations),
+            (8, 1, 0)
+        );
     }
 }

@@ -34,6 +34,45 @@ enum WorkBuf<In> {
     Run(SiteId, Vec<In>),
 }
 
+/// One routed shard buffer on its way through a worker and back: the
+/// shard, the buffer (recycled batch to batch), and its estimate after
+/// absorbing it.
+struct Work<In> {
+    sid: usize,
+    buf: WorkBuf<In>,
+    estimate: i64,
+}
+
+impl<In> Work<In> {
+    fn new(sid: usize, buf: WorkBuf<In>) -> Self {
+        Work {
+            sid,
+            buf,
+            estimate: 0,
+        }
+    }
+}
+
+/// Absorb a routed buffer into its shard's replica; see [`ingest_run`].
+fn absorb<T, In>(tracker: &mut T, buf: &WorkBuf<In>, scratch: Option<&mut Consolidator>) -> i64
+where
+    T: Tracker<In> + ?Sized,
+    In: ConsolidateInput,
+{
+    match buf {
+        WorkBuf::Batch(buf) => tracker.update_batch(buf),
+        WorkBuf::Run(site, buf) => ingest_run(tracker, *site, buf, scratch),
+    }
+}
+
+/// Put an emptied buffer back in its slot; returns how many inputs it held.
+fn recycle<X>(slot: &mut Vec<X>, mut buf: Vec<X>) -> u64 {
+    let len = buf.len() as u64;
+    buf.clear();
+    *slot = buf;
+    len
+}
+
 /// Per-record validation shared by both routing layouts: rejects what
 /// the sequential `Driver` rejects, returning the record's ground-truth
 /// increment.
@@ -259,7 +298,7 @@ fn worker_loop<T, In, Src>(
             let tracker = &mut *group[shard.slot];
             let mut report = ShardRound {
                 sid: shard.sid,
-                est: 0,
+                estimate: 0,
                 sum: 0,
                 len: 0,
             };
@@ -271,7 +310,7 @@ fn worker_loop<T, In, Src>(
                 }
                 report.sum += chunk.iter().map(|x| x.delta_of()).sum::<i64>();
                 report.len += chunk.len() as u64;
-                report.est = ingest_run(tracker, feed.site, chunk, scratch.as_mut());
+                report.estimate = ingest_run(tracker, feed.site, chunk, scratch.as_mut());
             }
             if report.len > 0 {
                 reports.push(report);
@@ -742,44 +781,58 @@ where
         // the main thread plays coordinator.
         let shards = &mut self.shards;
         let cut = &mut self.cut;
+        // One boundary per batch: route it, have `exec` absorb every
+        // non-empty shard buffer (inline, or on the shard's worker) and
+        // hand it back with its estimate, recycle the buffers, fold.
+        let mut ingest = |exec: &mut dyn FnMut(Vec<Work<In>>) -> Vec<Work<In>>| {
+            for batch in stream.chunks(cfg.batch_size()) {
+                route(batch, &mut run_bufs, &mut tup_bufs, &mut sums)?;
+                let runs = run_bufs
+                    .iter_mut()
+                    .enumerate()
+                    .filter(|(_, b)| !b.is_empty());
+                let tups = tup_bufs
+                    .iter_mut()
+                    .enumerate()
+                    .filter(|(_, b)| !b.is_empty());
+                let work = runs
+                    .map(|(sid, b)| Work::new(sid, WorkBuf::Run(sid, std::mem::take(b))))
+                    .chain(tups.map(|(sid, b)| Work::new(sid, WorkBuf::Batch(std::mem::take(b)))))
+                    .collect();
+                for Work { sid, buf, estimate } in exec(work) {
+                    let len = match buf {
+                        WorkBuf::Run(_, buf) => recycle(&mut run_bufs[sid], buf),
+                        WorkBuf::Batch(buf) => recycle(&mut tup_bufs[sid], buf),
+                    };
+                    let sum = sums[sid];
+                    reports.push(ShardRound {
+                        sid,
+                        estimate,
+                        sum,
+                        len,
+                    });
+                }
+                sums.fill(0);
+                cut.fold(&mut audit, &mut reports);
+                reports.clear();
+            }
+            Ok::<(), EngineError>(())
+        };
 
         if w_count == 1 {
             // One worker (any shard count): batched, but inline — no
             // thread machinery. Same state trajectory as the threaded
             // path, since replica state never depends on worker placement.
             let mut scratch = cfg.consolidate_enabled().then(Consolidator::new);
-            for batch in stream.chunks(cfg.batch_size()) {
-                route(batch, &mut run_bufs, &mut tup_bufs, &mut sums)?;
-                for (sid, buf) in run_bufs.iter_mut().enumerate() {
-                    if !buf.is_empty() {
-                        let est = ingest_run(&mut shards[sid], sid, buf, scratch.as_mut());
-                        reports.push(ShardRound {
-                            sid,
-                            est,
-                            sum: sums[sid],
-                            len: buf.len() as u64,
-                        });
-                        buf.clear();
-                    }
+            ingest(&mut |mut work| {
+                for w in work.iter_mut() {
+                    w.estimate = absorb(&mut shards[w.sid], &w.buf, scratch.as_mut());
                 }
-                for (sid, buf) in tup_bufs.iter_mut().enumerate() {
-                    if !buf.is_empty() {
-                        reports.push(ShardRound {
-                            sid,
-                            est: shards[sid].update_batch(buf),
-                            sum: sums[sid],
-                            len: buf.len() as u64,
-                        });
-                        buf.clear();
-                    }
-                }
-                sums.fill(0);
-                cut.fold(&mut audit, &mut reports);
-                reports.clear();
-            }
+                work
+            })?;
         } else {
-            std::thread::scope(|scope| -> Result<(), EngineError> {
-                let (res_tx, res_rx) = mpsc::channel::<(usize, i64, WorkBuf<In>)>();
+            std::thread::scope(|scope| {
+                let (res_tx, res_rx) = mpsc::channel::<Work<In>>();
                 // Worker w owns logical shards {s : s ≡ w (mod W)}, as a
                 // dense group; a shard's slot within its group is s / W.
                 let mut groups: Vec<Vec<&mut T>> = (0..w_count).map(|_| Vec::new()).collect();
@@ -788,81 +841,35 @@ where
                 }
                 let mut work_txs = Vec::with_capacity(w_count);
                 let consolidate = cfg.consolidate_enabled();
-                for (w, mut group) in groups.into_iter().enumerate() {
-                    let bound = group.len().max(1);
-                    let (tx, rx) = mpsc::sync_channel::<(usize, WorkBuf<In>)>(bound);
+                for mut group in groups {
+                    let (tx, rx) = mpsc::sync_channel::<Work<In>>(group.len().max(1));
                     let res_tx = res_tx.clone();
                     work_txs.push(tx);
                     scope.spawn(move || {
                         // Per-worker consolidation scratch, reused across
                         // rounds — no allocation in the steady state.
                         let mut scratch = consolidate.then(Consolidator::new);
-                        while let Ok((slot, work)) = rx.recv() {
-                            let tracker = &mut *group[slot];
-                            let est = match &work {
-                                WorkBuf::Batch(buf) => tracker.update_batch(buf),
-                                WorkBuf::Run(site, buf) => {
-                                    ingest_run(tracker, *site, buf, scratch.as_mut())
-                                }
-                            };
-                            let sid = slot * w_count + w;
-                            if res_tx.send((sid, est, work)).is_err() {
+                        while let Ok(mut w) = rx.recv() {
+                            let tracker = &mut *group[w.sid / w_count];
+                            w.estimate = absorb(tracker, &w.buf, scratch.as_mut());
+                            if res_tx.send(w).is_err() {
                                 break;
                             }
                         }
                     });
                 }
                 drop(res_tx);
-
-                for batch in stream.chunks(cfg.batch_size()) {
-                    route(batch, &mut run_bufs, &mut tup_bufs, &mut sums)?;
-                    let mut outstanding = 0;
-                    for sid in 0..s_count {
-                        let work = if use_runs {
-                            if sid >= k || run_bufs[sid].is_empty() {
-                                continue;
-                            }
-                            WorkBuf::Run(sid, std::mem::take(&mut run_bufs[sid]))
-                        } else {
-                            if tup_bufs[sid].is_empty() {
-                                continue;
-                            }
-                            WorkBuf::Batch(std::mem::take(&mut tup_bufs[sid]))
-                        };
-                        work_txs[sid % w_count]
-                            .send((sid / w_count, work))
+                ingest(&mut |work| {
+                    let n = work.len();
+                    for w in work {
+                        work_txs[w.sid % w_count]
+                            .send(w)
                             .expect("shard worker died");
-                        outstanding += 1;
                     }
-                    for _ in 0..outstanding {
-                        let (sid, est, work) = res_rx.recv().expect("shard worker died");
-                        // Recycle the allocation for the next batch.
-                        let len = match work {
-                            WorkBuf::Run(_, mut buf) => {
-                                let len = buf.len();
-                                buf.clear();
-                                run_bufs[sid] = buf;
-                                len
-                            }
-                            WorkBuf::Batch(mut buf) => {
-                                let len = buf.len();
-                                buf.clear();
-                                tup_bufs[sid] = buf;
-                                len
-                            }
-                        };
-                        reports.push(ShardRound {
-                            sid,
-                            est,
-                            sum: sums[sid],
-                            len: len as u64,
-                        });
-                    }
-                    sums.fill(0);
-                    cut.fold(&mut audit, &mut reports);
-                    reports.clear();
-                }
-                Ok(())
+                    (0..n)
+                        .map(|_| res_rx.recv().expect("shard worker died"))
+                        .collect()
+                })
             })?;
         }
 
@@ -1240,127 +1247,28 @@ mod tests {
     }
 
     #[test]
-    fn slice_rounds_end_with_exactly_one_short_round() {
-        let inputs = [1i64; 8];
-        let mut exact = SliceRounds {
-            inputs: &inputs,
-            round: 0,
-        };
-        let lens: Vec<usize> = (0..4).map(|_| exact.next_round(4).len()).collect();
-        assert_eq!(lens, [4, 4, 0, 0]);
-        let mut ragged = SliceRounds {
-            inputs: &inputs[..5],
-            round: 0,
-        };
-        let lens: Vec<usize> = (0..3).map(|_| ragged.next_round(4).len()).collect();
-        assert_eq!(lens, [4, 1, 0]);
-    }
-
-    #[test]
-    fn worker_loop_ends_at_the_first_empty_round_or_a_refusing_sink() {
-        let (long, short) = ([1i64; 8], [-1i64; 3]);
-        let run = |stop_after: usize| {
-            let mut tracker = TrackerSpec::new(TrackerKind::Naive).k(2).build().unwrap();
-            let mut owned = lanes(
-                [
-                    (
-                        0,
-                        SliceRounds {
-                            inputs: &long[..],
-                            round: 0,
-                        },
-                    ),
-                    (
-                        1,
-                        SliceRounds {
-                            inputs: &short[..],
-                            round: 0,
-                        },
-                    ),
-                ],
-                1,
-                1,
-            );
-            let mut rounds = Vec::new();
-            worker_loop(&mut [&mut tracker], &mut owned[0], 4, false, |round, r| {
-                rounds.push((round, r[0].sum, r[0].len, r[0].est));
-                rounds.len() < stop_after
-            });
-            rounds
-        };
-        // Round 0 takes 4 + 3 inputs (the short feed ends), round 1 the
-        // long feed's last 4; round 2 is all-empty and ends the loop.
-        assert_eq!(run(usize::MAX), [(0, 1, 7, 1), (1, 4, 4, 5)]);
-        assert_eq!(run(1), [(0, 1, 7, 1)]);
-    }
-
-    #[test]
-    fn lanes_group_feeds_by_shard_and_worker() {
-        // S = 4, W = 2: shards 0, 2 on worker 0 (slots 0, 1), shards 1, 3
-        // on worker 1. Feeds keep their order within a shard.
-        let feeds = [(2, 'a'), (0, 'b'), (6, 'c'), (5, 'd'), (2, 'e')];
-        let grouped = lanes(feeds, 4, 2);
-        let view: Vec<Vec<_>> = grouped
-            .iter()
-            .map(|lane| {
-                lane.iter()
-                    .map(|o| {
-                        let feeds = o.feeds.iter().map(|f| (f.site, f.src)).collect();
-                        (o.sid, o.slot, feeds)
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_eq!(
-            view,
-            vec![
-                vec![
-                    (0, 0, vec![(0, 'b')]),
-                    (2, 1, vec![(2, 'a'), (6, 'c'), (2, 'e')])
-                ],
-                vec![(1, 0, vec![(5, 'd')])],
-            ]
-        );
-        // A worker without feeds gets an empty lane, not a missing one.
-        assert_eq!(
-            lanes([(0, ())], 4, 3)
-                .iter()
-                .map(Vec::len)
-                .collect::<Vec<_>>(),
-            [1, 0, 0]
-        );
-    }
-
-    #[test]
     fn watermark_coordinator_folds_rounds_in_order_across_workers() {
-        let report = |sid, len| ShardRound {
-            sid,
-            est: 0,
-            sum: 0,
-            len,
-        };
+        // Worker 1 (shard 1) races ahead three rounds and finishes before
+        // worker 0 (shard 0) reports its two.
         let (tx, rx) = mpsc::channel();
-        // Worker 1 races ahead and finishes; worker 0 reports late.
-        for round in 0..3 {
-            let reports = vec![report(1, round + 1)];
+        for (worker, round, len) in [(1, 0, 1), (1, 1, 2), (1, 2, 3), (0, 0, 10), (0, 1, 20)] {
+            let (sid, estimate, sum) = (worker, 0, 0);
+            let reports = vec![ShardRound {
+                sid,
+                estimate,
+                sum,
+                len,
+            }];
             tx.send(CoordMsg::Round {
-                worker: 1,
+                worker,
                 round,
                 reports,
             })
             .unwrap();
         }
-        tx.send(CoordMsg::Done { worker: 1 }).unwrap();
-        for round in 0..2 {
-            let reports = vec![report(0, 10 * (round + 1))];
-            tx.send(CoordMsg::Round {
-                worker: 0,
-                round,
-                reports,
-            })
-            .unwrap();
+        for worker in [1, 0] {
+            tx.send(CoordMsg::Done { worker }).unwrap();
         }
-        tx.send(CoordMsg::Done { worker: 0 }).unwrap();
         drop(tx);
         let mut folded = Vec::new();
         coordinate(rx, 2, |reports| {
@@ -1370,56 +1278,6 @@ mod tests {
             folded,
             vec![vec![(1, 1), (0, 10)], vec![(1, 2), (0, 20)], vec![(1, 3)],]
         );
-    }
-
-    #[test]
-    fn routed_ingest_marks_only_fed_shards_dirty() {
-        // The fold counts each shard's inputs, so a checkpoint after a
-        // stream touching one site re-captures (and charges) one shard.
-        let mut engine = ShardedEngine::counters(det_spec(4), EngineConfig::new(4, 64)).unwrap();
-        let all = MonotoneGen::ones().updates(1_000, RoundRobin::new(4));
-        engine.run(&all).unwrap();
-        engine.checkpoint().unwrap();
-        let first = engine.checkpoint_stats().total_messages();
-        assert_eq!(first, 4);
-        let site2: Vec<Update> = (1..=300).map(|t| Update::new(1_000 + t, 2, 1)).collect();
-        let report = engine.run(&site2).unwrap();
-        assert_eq!((report.n, report.batches), (300, 5));
-        engine.checkpoint().unwrap();
-        assert_eq!(engine.checkpoint_stats().total_messages(), first + 1);
-    }
-
-    #[test]
-    fn disagreeing_replicas_are_a_typed_error() {
-        // Shard 2 tracks a different site count.
-        let err = ShardedEngine::with_factory(EngineConfig::new(3, 16), |s| {
-            det_spec(if s == 2 { 5 } else { 4 }).build()
-        })
-        .unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::ReplicaMismatch {
-                shard: 2,
-                what: "site count",
-                expected: 4,
-                found: 5,
-            }
-        );
-        // Shard 1 is a different kind.
-        let err = ShardedEngine::with_factory(EngineConfig::new(2, 16), |s| {
-            let kind = [TrackerKind::Deterministic, TrackerKind::Naive][s];
-            TrackerSpec::new(kind).k(4).eps(0.1).build()
-        })
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::ReplicaMismatch {
-                shard: 1,
-                what: "tracker kind tag",
-                ..
-            }
-        ));
-        assert!(err.to_string().contains("replica 1"));
     }
 
     #[test]
@@ -1465,16 +1323,23 @@ mod tests {
             EngineError::Run(RunError::SiteOutOfRange { site: 7, .. })
         ));
 
-        let cmy = TrackerSpec::new(TrackerKind::CmyMonotone).k(1).eps(0.1);
+        let cmy = TrackerSpec::new(TrackerKind::CmyMonotone).k(2).eps(0.1);
         let mut engine = ShardedEngine::counters(cmy, EngineConfig::new(1, 100)).unwrap();
+        engine.run_parted(&[(1, &ones[..7])]).unwrap();
         let bad = vec![1i64, 1, -1];
-        let err = engine.run_parted(&[(0, bad.as_slice())]).unwrap_err();
-        assert!(matches!(
+        let err = engine
+            .run_parted(&[(0, &ones[..5]), (1, bad.as_slice())])
+            .unwrap_err();
+        // The deletion is feed 1's third input, counted from t = 7.
+        assert_eq!(
             err,
-            EngineError::Run(RunError::DeletionUnsupported { .. })
-        ));
+            EngineError::Run(RunError::DeletionUnsupported {
+                kind: TrackerKind::CmyMonotone,
+                time: 10
+            })
+        );
         // Nothing ran: validation precedes execution.
-        assert_eq!(engine.time(), 0);
+        assert_eq!(engine.time(), 7);
     }
 
     #[test]

@@ -113,6 +113,8 @@ fn deletion_capable_kinds_are_bit_identical_on_walks() {
                 );
             }
             assert_eq!(spec_built.stats(), direct.stats());
+            // State too, block structure included.
+            assert_eq!(spec_built.snapshot().unwrap(), direct.snapshot().unwrap());
         }
     }
 }

@@ -276,3 +276,35 @@ fn variability_saturates_at_n_for_worst_case() {
     let v = Variability::of_stream(deltas.iter().copied());
     assert!(v > 999.0 - 1.0 && v <= 1_000.0);
 }
+
+#[test]
+fn engine_replicas_that_disagree_are_a_typed_error() {
+    // Replica 2 tracks a different site count; replica 1 a different kind.
+    let spec = |kind, k| TrackerSpec::new(kind).k(k).eps(0.1).build();
+    let err = CounterEngine::with_factory(EngineConfig::new(3, 16), |s| {
+        spec(TrackerKind::Deterministic, if s == 2 { 5 } else { 4 })
+    })
+    .unwrap_err();
+    assert_eq!(
+        err,
+        EngineError::ReplicaMismatch {
+            shard: 2,
+            what: "site count",
+            expected: 4,
+            found: 5,
+        }
+    );
+    let err = CounterEngine::with_factory(EngineConfig::new(2, 16), |s| {
+        spec([TrackerKind::Deterministic, TrackerKind::Naive][s], 4)
+    })
+    .unwrap_err();
+    assert!(matches!(
+        err,
+        EngineError::ReplicaMismatch {
+            shard: 1,
+            what: "tracker kind tag",
+            ..
+        }
+    ));
+    assert!(err.to_string().contains("replica 1"));
+}

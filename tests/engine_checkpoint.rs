@@ -297,3 +297,63 @@ fn skipped_clean_shards_still_restore_bit_identically() {
     fresh.run(&skewed).unwrap();
     assert_eq!(fresh.checkpoint().unwrap().states(), ckpt.states());
 }
+
+#[test]
+fn checkpoints_stay_flat_over_many_completed_blocks() {
+    // Spec-built replicas keep no block log, so an engine checkpoint is
+    // the same size at every boundary of a long fair walk, however many
+    // blocks the replicas complete in between.
+    for kind in [TrackerKind::Deterministic, TrackerKind::Randomized] {
+        let spec = TrackerSpec::new(kind).k(4).eps(0.1).seed(3).deletions(true);
+        let mut engine = ShardedEngine::counters(spec, EngineConfig::new(2, 1_000)).unwrap();
+        let walk = WalkGen::fair(17).updates(60_000, RoundRobin::new(4));
+        let sizes: Vec<usize> = walk
+            .chunks(10_000)
+            .map(|segment| {
+                engine.run(segment).unwrap();
+                engine.checkpoint().unwrap().to_bytes().len()
+            })
+            .collect();
+        assert!(
+            sizes.iter().all(|&len| len == sizes[0]),
+            "{}: checkpoint sizes {sizes:?}",
+            kind.label()
+        );
+    }
+}
+
+#[test]
+fn parted_and_pipelined_ingest_dirty_only_the_shards_they_feed() {
+    // Every ingestion path counts a shard's inputs at the boundary fold,
+    // so after a first capture, feeding only sites 0 and 2 (shards 0 and
+    // 2 of 4) re-captures and charges exactly those two shards.
+    let spec = TrackerSpec::new(TrackerKind::Deterministic)
+        .k(4)
+        .eps(0.1)
+        .deletions(true);
+    let ones = vec![1i64; 700];
+    for pipelined in [false, true] {
+        let mut engine = ShardedEngine::counters(spec, EngineConfig::new(4, 100)).unwrap();
+        engine.checkpoint().unwrap();
+        assert_eq!(engine.checkpoint_stats().total_messages(), 4);
+        if pipelined {
+            engine
+                .run_pipelined(&[2, 0], |handles| {
+                    for mut handle in handles {
+                        handle.push_batch(&ones[..300]).unwrap();
+                    }
+                })
+                .unwrap();
+        } else {
+            engine
+                .run_parted(&[(2, &ones[..]), (0, &ones[..300])])
+                .unwrap();
+        }
+        engine.checkpoint().unwrap();
+        assert_eq!(
+            engine.checkpoint_stats().total_messages(),
+            6,
+            "pipelined: {pipelined}"
+        );
+    }
+}

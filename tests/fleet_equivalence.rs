@@ -284,3 +284,23 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn fleet_checkpoints_stay_flat_over_many_completed_blocks() {
+    // Per-key replicas are spec-built and keep no block log, so a fleet
+    // checkpoint is the same size at every cut of a long fair walk.
+    let spec = TrackerSpec::new(TrackerKind::Deterministic)
+        .k(3)
+        .eps(0.2)
+        .deletions(true);
+    let mut fleet = CounterFleet::counters(spec, fleet_cfg()).unwrap();
+    let walk = WalkGen::fair(23).updates(60_000, RoundRobin::new(3));
+    let mut sizes = Vec::new();
+    for segment in walk.chunks(10_000) {
+        for (i, u) in segment.iter().enumerate() {
+            fleet.update_at(i as u64 % 2, u.site, u.delta).unwrap();
+        }
+        sizes.push(fleet.checkpoint().unwrap().to_bytes().len());
+    }
+    assert!(sizes.iter().all(|&len| len == sizes[0]), "sizes {sizes:?}");
+}

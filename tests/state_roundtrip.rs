@@ -363,6 +363,27 @@ fn spec_built_snapshots_do_not_grow_with_completed_blocks() {
 }
 
 #[test]
+fn item_kind_snapshots_do_not_grow_with_completed_blocks() {
+    // Both frequency coordinators keep no block log either: after a long
+    // item stream (F1 doubles several times, each time completing
+    // blocks) a spec-built tracker's snapshot is as large as early on.
+    for kind in [TrackerKind::ExactFreq, TrackerKind::RandFreq] {
+        let mut tracker = item_spec(kind, 3, 11, 32).build_item().unwrap();
+        let stream = item_batch(13, 60_000, 3, 32);
+        let (head, tail) = stream.split_at(2_000);
+        for &(site, input) in head {
+            tracker.step(site, input);
+        }
+        let early_len = tracker.snapshot().unwrap().payload().len();
+        for &(site, input) in tail {
+            tracker.step(site, input);
+        }
+        let late_len = tracker.snapshot().unwrap().payload().len();
+        assert_eq!(late_len, early_len, "{}", kind.label());
+    }
+}
+
+#[test]
 fn snapshots_carrying_a_block_log_still_restore() {
     // An image whose coordinator logged every block (the format every
     // tracker wrote while logging was unconditional) restores into a
