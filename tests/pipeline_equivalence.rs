@@ -253,7 +253,7 @@ fn feeds_closed_mid_batch_match_parted_partial_rounds() {
                 (1, vec![-1; 250]),
                 (1, vec![1; 99]),
                 (0, vec![1; 50]),
-                (1, vec![1; 100]),
+                (1, vec![1; 230]), // shares site 1's last round with feed 2
             ],
         ),
         (
@@ -271,8 +271,20 @@ fn feeds_closed_mid_batch_match_parted_partial_rounds() {
         let mut reference = ShardedEngine::counters(spec, cfg.workers(1)).unwrap();
         let want_report = reference.run_parted(&slices).unwrap();
         let want = fingerprint(&reference);
+        // Independent of the loop: every input counted once, and the
+        // merged estimate is exactly the replicas' sum at the end.
         let total: usize = feeds.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(want_report.n, total as u64, "{name}");
+        let truth: i64 = feeds.iter().flat_map(|(_, v)| v).sum();
+        assert_eq!(
+            (want_report.n, want_report.final_f),
+            (total as u64, truth),
+            "{name}"
+        );
+        assert_eq!(
+            want.estimate,
+            want.shard_estimates.iter().sum::<i64>(),
+            "{name}"
+        );
 
         for workers in [1usize, 2, 3] {
             let mut parted = ShardedEngine::counters(spec, cfg.workers(workers)).unwrap();
